@@ -118,10 +118,6 @@ run_result run_leg(const fleet_config& cfg, content_mode mode) {
   return r;
 }
 
-const char* mode_name(content_mode m) {
-  return m == content_mode::cow ? "cow" : "flat";
-}
-
 void print_leg(const char* label, const run_result& r) {
   std::printf("  %-12s %8.0f ms   peak store %10s   maxrss %10s   "
               "traffic %s\n",

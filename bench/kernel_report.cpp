@@ -6,6 +6,10 @@
 // at the old (250) and new (2500) per-service file caps and asserts the
 // replay is byte-identical across thread counts.
 //
+// SHA-256 gets two rows: `sha256` is the kernel the program dispatches to on
+// this host, `sha256_portable` is the scalar kernel driven directly, so both
+// stay checked whichever one CPUID picks.
+//
 // Writes BENCH_kernels.json (or argv[1]). Exit status is the identity
 // verdict: any kernel or replay divergence fails the run (CI gates on it);
 // throughput numbers are recorded but never gate, since they depend on the
@@ -15,7 +19,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <thread>
 #include <unordered_map>
 
 #include "bench_util.hpp"
@@ -23,6 +29,7 @@
 #include "pipeline/byte_pipeline.hpp"
 #include "util/adler32.hpp"
 #include "util/crc32.hpp"
+#include "util/sha256_kernels.hpp"
 #include "util/string_key.hpp"
 
 using namespace cloudsync;
@@ -351,8 +358,22 @@ struct kernel_row {
   double opt_mb_s = 0;
   bool identical = true;
   bool identity_checked = true;  ///< estimator changes are rate-only rows
+  bool in_aggregate = true;  ///< false where another row times the same work
   double speedup() const { return ref_mb_s > 0 ? opt_mb_s / ref_mb_s : 0; }
 };
+
+/// The /proc/cpuinfo flags (empty where that file does not exist).
+std::set<std::string> cpu_flags() {
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("flags", 0) != 0) continue;
+    std::istringstream words(line.substr(line.find(':') + 1));
+    std::set<std::string> flags;
+    for (std::string f; words >> f;) flags.insert(f);
+    return flags;
+  }
+  return {};
+}
 
 /// Mixed-compressibility corpus: binary-random, mildly compressible, and
 /// text-like buffers, the three content classes the trace generator emits.
@@ -404,6 +425,24 @@ int main(int argc, char** argv) {
     row.opt_mb_s = throughput_mb_s(corpus_bytes, kMinMs, [&] {
       std::uint64_t s = 0;
       for (const byte_buffer& b : corpus) s += sha256(b).prefix64();
+      g_sink = g_sink + s;
+    });
+    rows.push_back(row);
+  }
+  {
+    // Shares the sha256 row's reference rate.
+    kernel_row row{"sha256_portable"};
+    row.in_aggregate = false;
+    row.ref_mb_s = rows.back().ref_mb_s;
+    const auto portable = [](byte_view b) {
+      return sha256_kernels::sha256_with(sha256_kernels::portable, b);
+    };
+    for (const byte_buffer& b : corpus) {
+      row.identical &= refk::sha256(b) == portable(b);
+    }
+    row.opt_mb_s = throughput_mb_s(corpus_bytes, kMinMs, [&] {
+      std::uint64_t s = 0;
+      for (const byte_buffer& b : corpus) s += portable(b).prefix64();
       g_sink = g_sink + s;
     });
     rows.push_back(row);
@@ -524,16 +563,19 @@ int main(int argc, char** argv) {
     rows.push_back(row);
   }
 
-  // Aggregate = one virtual pass of every kernel over the corpus, time-
-  // weighted (sum of per-kernel times at the measured rates).
+  // Aggregate = one virtual pass of every kernel the program runs over the
+  // corpus, time-weighted (sum of per-kernel times at the measured rates).
   double ref_time = 0, opt_time = 0;
+  std::size_t agg_rows = 0;
   for (const kernel_row& r : rows) {
+    if (!r.in_aggregate) continue;
     ref_time += static_cast<double>(corpus_bytes) / r.ref_mb_s;
     opt_time += static_cast<double>(corpus_bytes) / r.opt_mb_s;
+    ++agg_rows;
   }
-  const double agg_ref = rows.size() * static_cast<double>(corpus_bytes) /
+  const double agg_ref = agg_rows * static_cast<double>(corpus_bytes) /
                          ref_time;
-  const double agg_opt = rows.size() * static_cast<double>(corpus_bytes) /
+  const double agg_opt = agg_rows * static_cast<double>(corpus_bytes) /
                          opt_time;
 
   // Fused pipeline vs the same kernels run as separate passes (both sides
@@ -651,6 +693,15 @@ int main(int argc, char** argv) {
   bool all_identical = fused_identical && index_identical && fleet_identical;
   for (const kernel_row& r : rows) all_identical &= r.identical;
 
+  const std::set<std::string> flags = cpu_flags();
+  const unsigned nproc = std::thread::hardware_concurrency();
+  const char* sha256_kernel =
+      sha256_kernels::has_sha_ni() ? "sha_ni" : "portable";
+  std::printf("host: %u cores, sha_ni=%d avx2=%d avx512f=%d; sha256 "
+              "dispatches to the %s kernel\n",
+              nproc, flags.contains("sha_ni"), flags.contains("avx2"),
+              flags.contains("avx512f"), sha256_kernel);
+
   text_table table;
   table.header({"kernel", "ref MB/s", "opt MB/s", "speedup", "identical"});
   for (const kernel_row& r : rows) {
@@ -676,8 +727,16 @@ int main(int argc, char** argv) {
 
   const char* out_path = argc > 1 ? argv[1] : "BENCH_kernels.json";
   std::ofstream out(out_path);
+  const auto flag = [&](const char* f) {
+    return flags.contains(f) ? "true" : "false";
+  };
   out << "{\n"
       << "  \"bench\": \"kernels\",\n"
+      << "  \"host\": {\"nproc\": " << nproc
+      << ", \"cpu_flags\": {\"sha_ni\": " << flag("sha_ni")
+      << ", \"avx2\": " << flag("avx2")
+      << ", \"avx512f\": " << flag("avx512f") << "}},\n"
+      << "  \"sha256_kernel\": \"" << sha256_kernel << "\",\n"
       << "  \"corpus_bytes\": " << corpus_bytes << ",\n"
       << "  \"kernels\": {";
   bool first = true;

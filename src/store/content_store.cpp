@@ -19,7 +19,9 @@ store_chunk::~store_chunk() {
 #ifndef NDEBUG
   // Poison freed content so a dangling byte_view into a detached chunk reads
   // deterministic garbage (and trips asan's heap-use-after-free cleanly).
-  std::memset(data_.data(), 0xDD, data_.size());
+  // A lazy chunk that was never read has no buffer (null data()), and
+  // memset's pointer must not be null even for a zero length.
+  if (!data_.empty()) std::memset(data_.data(), 0xDD, data_.size());
 #endif
 }
 

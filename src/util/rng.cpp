@@ -106,18 +106,19 @@ std::uint64_t rng::zipf(std::uint64_t n, double s) {
 
 byte_buffer random_bytes(rng& r, std::size_t n) {
   byte_buffer out(n);
-  std::size_t i = 0;
-  while (i + 8 <= n) {
+  const std::size_t whole = n - n % 8;
+  for (std::size_t i = 0; i < whole; i += 8) {
     const std::uint64_t v = r.next();
     for (int k = 0; k < 8; ++k) {
       out[i + k] = static_cast<std::uint8_t>(v >> (8 * k));
     }
-    i += 8;
   }
-  if (i < n) {
+  // The tail takes the low bytes of one more word; n % 8 keeps the shift
+  // below 64 where the compiler can see it.
+  if (const std::size_t rest = n % 8; rest > 0) {
     const std::uint64_t v = r.next();
-    for (int k = 0; i < n; ++i, ++k) {
-      out[i] = static_cast<std::uint8_t>(v >> (8 * k));
+    for (std::size_t k = 0; k < rest; ++k) {
+      out[whole + k] = static_cast<std::uint8_t>(v >> (8 * k));
     }
   }
   return out;

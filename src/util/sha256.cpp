@@ -2,6 +2,14 @@
 
 #include <cstring>
 
+#include "util/sha256_kernels.hpp"
+
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+#define CLOUDSYNC_SHA256_X86 1
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace cloudsync {
 
 namespace {
@@ -47,27 +55,56 @@ inline void store_be32(std::uint8_t* p, std::uint32_t v) {
   p[3] = static_cast<std::uint8_t>(v);
 }
 
+// Fractional parts of the square roots of the first 8 primes.
+constexpr std::uint32_t kInitial[8] = {0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u,
+                                       0xa54ff53au, 0x510e527fu, 0x9b05688cu,
+                                       0x1f83d9abu, 0x5be0cd19u};
+
+/// Pads the final `tail_len` (< 64) bytes of a `total_len`-byte message
+/// (FIPS 180-4 §5.1.1: 0x80, zeros, 64-bit big-endian bit length) and folds
+/// the resulting one or two blocks into `state`.
+void finish_blocks(sha256_kernels::block_fn kernel, std::uint32_t state[8],
+                   const std::uint8_t* tail, std::size_t tail_len,
+                   std::uint64_t total_len) {
+  std::uint8_t block[128] = {};
+  if (tail_len > 0) std::memcpy(block, tail, tail_len);
+  block[tail_len] = 0x80;
+  const std::size_t blocks = tail_len < 56 ? 1 : 2;
+  const std::uint64_t bit_len = total_len * 8;
+  std::uint8_t* len = block + 64 * blocks - 8;
+  store_be32(len, static_cast<std::uint32_t>(bit_len >> 32));
+  store_be32(len + 4, static_cast<std::uint32_t>(bit_len));
+  kernel(state, block, blocks);
+}
+
+sha256_digest digest_of(const std::uint32_t state[8]) {
+  sha256_digest out;
+  for (int i = 0; i < 8; ++i) store_be32(out.bytes.data() + 4 * i, state[i]);
+  return out;
+}
+
+// Chosen on first use, not by a namespace-scope initializer, so a hash that
+// runs during another translation unit's static initialization still gets a
+// kernel.
+sha256_kernels::block_fn dispatched_kernel() {
+  static const sha256_kernels::block_fn kernel =
+      sha256_kernels::has_sha_ni() ? sha256_kernels::sha_ni
+                                   : sha256_kernels::portable;
+  return kernel;
+}
+
 }  // namespace
 
-sha256_hasher::sha256_hasher() {
-  // Fractional parts of the square roots of the first 8 primes.
-  state_[0] = 0x6a09e667u;
-  state_[1] = 0xbb67ae85u;
-  state_[2] = 0x3c6ef372u;
-  state_[3] = 0xa54ff53au;
-  state_[4] = 0x510e527fu;
-  state_[5] = 0x9b05688cu;
-  state_[6] = 0x1f83d9abu;
-  state_[7] = 0x5be0cd19u;
-}
+namespace sha256_kernels {
 
 // Compression rounds unrolled via register rotation, with the message
 // schedule kept as a rolling 16-word ring instead of a 64-word array. Every
 // operation is the same mod-2^32 arithmetic as the FIPS reference loop, only
 // regrouped, so digests are bit-identical.
-void sha256_hasher::process_blocks(const std::uint8_t* p, std::size_t blocks) {
-  std::uint32_t s0 = state_[0], s1 = state_[1], s2 = state_[2], s3 = state_[3];
-  std::uint32_t s4 = state_[4], s5 = state_[5], s6 = state_[6], s7 = state_[7];
+void portable(std::uint32_t state[8], const std::uint8_t* p,
+              std::size_t blocks) {
+  std::uint32_t s0 = state[0], s1 = state[1], s2 = state[2], s3 = state[3];
+  std::uint32_t s4 = state[4], s5 = state[5], s6 = state[6], s7 = state[7];
 
   while (blocks-- > 0) {
     std::uint32_t w[16];
@@ -134,14 +171,112 @@ void sha256_hasher::process_blocks(const std::uint8_t* p, std::size_t blocks) {
     s7 += h;
   }
 
-  state_[0] = s0;
-  state_[1] = s1;
-  state_[2] = s2;
-  state_[3] = s3;
-  state_[4] = s4;
-  state_[5] = s5;
-  state_[6] = s6;
-  state_[7] = s7;
+  state[0] = s0;
+  state[1] = s1;
+  state[2] = s2;
+  state[3] = s3;
+  state[4] = s4;
+  state[5] = s5;
+  state[6] = s6;
+  state[7] = s7;
+}
+
+#if CLOUDSYNC_SHA256_X86
+
+// Neither the default build nor the benchmark compiles with -march=native, so
+// the SHA extensions are enabled for this function alone and reached only
+// through the CPUID check in dispatched_kernel().
+__attribute__((target("sha,sse4.1,ssse3"))) void sha_ni(
+    std::uint32_t state[8], const std::uint8_t* p, std::size_t blocks) {
+  // Reverses the bytes of each 32-bit lane: message words are big-endian.
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bll, 0x0405060700010203ll);
+  // sha256rnds2 holds the state as {a, b, e, f} and {c, d, g, h}, listed
+  // from the highest lane down.
+  const __m128i cdab = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xb1);
+  const __m128i efgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+  while (blocks-- > 0) {
+    const __m128i abef_in = abef, cdgh_in = cdgh;
+    // w[g % 4] holds message words W[4g .. 4g+3] of the current group g.
+    __m128i w[4];
+    for (int i = 0; i < 4; ++i) {
+      w[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16 * i)),
+          bswap);
+    }
+    p += 64;
+
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      __m128i& m = w[g & 3];
+      if (g >= 4) {
+        // W[t] = σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16], four at once.
+        const __m128i& prev = w[(g + 3) & 3];
+        m = _mm_sha256msg2_epu32(
+            _mm_add_epi32(_mm_sha256msg1_epu32(m, w[(g + 1) & 3]),
+                          _mm_alignr_epi8(prev, w[(g + 2) & 3], 4)),
+            prev);
+      }
+      const __m128i wk = _mm_add_epi32(
+          m, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kRound + 4 * g)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+    }
+
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+bool has_sha_ni() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
+  const bool shuffles = (ecx & bit_SSSE3) && (ecx & bit_SSE4_1);
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+  return shuffles && (ebx & bit_SHA);
+}
+
+#else
+
+void sha_ni(std::uint32_t state[8], const std::uint8_t* p,
+            std::size_t blocks) {
+  portable(state, p, blocks);
+}
+
+bool has_sha_ni() { return false; }
+
+#endif
+
+sha256_digest sha256_with(block_fn kernel, byte_view data) {
+  std::uint32_t state[8];
+  std::memcpy(state, kInitial, sizeof state);
+  const std::size_t whole = data.size() / 64;
+  kernel(state, data.data(), whole);
+  finish_blocks(kernel, state, data.data() + whole * 64,
+                data.size() - whole * 64, data.size());
+  return digest_of(state);
+}
+
+}  // namespace sha256_kernels
+
+sha256_hasher::sha256_hasher() {
+  std::memcpy(state_, kInitial, sizeof state_);
+}
+
+void sha256_hasher::process_blocks(const std::uint8_t* p, std::size_t blocks) {
+  dispatched_kernel()(state_, p, blocks);
 }
 
 sha256_hasher& sha256_hasher::update(byte_view data) {
@@ -172,25 +307,8 @@ sha256_hasher& sha256_hasher::update(byte_view data) {
 }
 
 sha256_digest sha256_hasher::finish() {
-  const std::uint64_t bit_len = total_len_ * 8;
-
-  const std::uint8_t pad_byte = 0x80;
-  update(byte_view{&pad_byte, 1});
-  static constexpr std::uint8_t zeros[64] = {};
-  while (buffer_len_ != 56) {
-    const std::size_t need = buffer_len_ < 56 ? 56 - buffer_len_
-                                              : 64 - buffer_len_;
-    update(byte_view{zeros, need});
-  }
-  std::uint8_t len_bytes[8];
-  store_be32(len_bytes, static_cast<std::uint32_t>(bit_len >> 32));
-  store_be32(len_bytes + 4, static_cast<std::uint32_t>(bit_len));
-  std::memcpy(buffer_ + buffer_len_, len_bytes, 8);
-  process_blocks(buffer_, 1);
-
-  sha256_digest out;
-  for (int i = 0; i < 8; ++i) store_be32(out.bytes.data() + 4 * i, state_[i]);
-  return out;
+  finish_blocks(dispatched_kernel(), state_, buffer_, buffer_len_, total_len_);
+  return digest_of(state_);
 }
 
 sha256_digest sha256(byte_view data) {

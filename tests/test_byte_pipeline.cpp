@@ -94,7 +94,7 @@ TEST(KernelVectors, Crc32CheckValue) {
 
 TEST(RollingProperty, MatchesFullRecomputeAtEveryOffset) {
   rng r(1234);
-  for (const std::size_t window : {16uz, 700uz, 4096uz}) {
+  for (const std::size_t window : {16, 700, 4096}) {
     const byte_buffer data = random_bytes(r, 3 * window + 123);
     rolling_checksum rc(window);
     rc.reset(byte_view{data.data(), window});
@@ -112,7 +112,7 @@ TEST(RollingProperty, WeakAccumulateSplitsArbitrarily) {
   rng r(99);
   const byte_buffer data = random_bytes(r, 10'000);
   const std::uint32_t whole = weak_checksum(data);
-  for (const std::size_t cut : {0uz, 1uz, 63uz, 64uz, 65uz, 9'999uz}) {
+  for (const std::size_t cut : {0, 1, 63, 64, 65, 9'999}) {
     std::uint32_t a = 0, b = 0;
     weak_accumulate(byte_view{data.data(), cut}, a, b);
     weak_accumulate(byte_view{data.data() + cut, data.size() - cut}, a, b);
@@ -131,7 +131,7 @@ TEST(CdcProperty, BoundariesRealignAfterPrefixInsertion) {
   const auto base = content_defined_chunks(data, params);
   ASSERT_GT(base.size(), 3u);
 
-  for (const std::size_t shift : {1uz, 37uz, 4096uz}) {
+  for (const std::size_t shift : {1, 37, 4096}) {
     byte_buffer shifted = random_bytes(r, shift);
     shifted.insert(shifted.end(), data.begin(), data.end());
     const auto moved = content_defined_chunks(shifted, params);
@@ -210,8 +210,7 @@ void expect_report_matches(const content_report& rep, byte_view data) {
 
 TEST(BytePipeline, OneShotMatchesStandaloneKernels) {
   rng r(42);
-  for (const std::size_t n : {0uz, 1uz, 63uz, 64uz, 65uz, 4096uz,
-                              100'000uz}) {
+  for (const std::size_t n : {0, 1, 63, 64, 65, 4096, 100'000}) {
     const byte_buffer data = random_bytes(r, n);
     const content_report rep = analyze_content(data, everything());
     expect_report_matches(rep, data);
@@ -221,7 +220,7 @@ TEST(BytePipeline, OneShotMatchesStandaloneKernels) {
 TEST(BytePipeline, TiledFeedMatchesWholeBuffer) {
   rng r(4242);
   const byte_buffer data = random_bytes(r, 150'000);
-  for (const std::size_t tile : {1uz, 7uz, 64uz, 1000uz, 65'536uz}) {
+  for (const std::size_t tile : {1, 7, 64, 1000, 65'536}) {
     byte_pipeline p(everything());
     for (std::size_t off = 0; off < data.size(); off += tile) {
       const std::size_t take = std::min(tile, data.size() - off);

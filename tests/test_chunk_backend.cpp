@@ -175,7 +175,7 @@ TEST(ChunkBackend, InconsistentDeltaThrows) {
   file_delta delta;
   delta.block_size = 4096;
   delta.new_file_size = 4096;
-  delta.ops.push_back({delta_op::kind::copy, 9, 1, {}});  // out of range
+  delta.ops.push_back({delta_op::kind::copy, 9, 1, {}, {}});  // out of range
   EXPECT_THROW(backend.apply_delta("v1", "v2", delta), std::runtime_error);
 }
 

@@ -119,7 +119,9 @@ TEST(FaultInjector, OutageWindowsAreConsistent) {
     // The instant the window closes, the link is up again (windows are
     // disjoint, so the next window — if any — starts strictly later).
     const auto after = inj.outage_end(*end);
-    if (after.has_value()) EXPECT_GT(*after, *end);
+    if (after.has_value()) {
+      EXPECT_GT(*after, *end);
+    }
     // Every instant inside the window reports the same end.
     EXPECT_EQ(inj.outage_end(*end - sim_time::from_usec(1)), end);
   }

@@ -1,11 +1,17 @@
 // Known-answer and property tests for the from-scratch hash primitives.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "util/crc32.hpp"
 #include "util/md5.hpp"
 #include "util/rng.hpp"
 #include "util/sha1.hpp"
 #include "util/sha256.hpp"
+#include "util/sha256_kernels.hpp"
 
 namespace cloudsync {
 namespace {
@@ -16,6 +22,10 @@ struct md5_vector {
   const char* input;
   const char* digest;
 };
+
+// Names each case by its digest. gtest's default would print the two pointers'
+// bytes, and so the discovered test names would change with every load address.
+void PrintTo(const md5_vector& v, std::ostream* os) { *os << v.digest; }
 
 class Md5KnownAnswers : public ::testing::TestWithParam<md5_vector> {};
 
@@ -55,16 +65,129 @@ TEST(Sha1, KnownAnswers) {
 
 // --- SHA-256 (FIPS 180 examples) -------------------------------------------
 
+struct sha256_vector {
+  std::string input;
+  const char* digest;
+};
+
+/// FIPS 180-4 examples, including the 896-bit and one-million-`a` messages.
+std::vector<sha256_vector> fips_sha256_vectors() {
+  return {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc",
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
+       "ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+       "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"},
+      {std::string(1'000'000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+  };
+}
+
 TEST(Sha256, KnownAnswers) {
-  EXPECT_EQ(sha256(as_bytes("")).hex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
-  EXPECT_EQ(sha256(as_bytes("abc")).hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-  EXPECT_EQ(
-      sha256(as_bytes(
-                 "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))
-          .hex(),
-      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  for (const auto& [input, digest] : fips_sha256_vectors()) {
+    EXPECT_EQ(sha256(as_bytes(input)).hex(), digest) << input.size() << " B";
+  }
+}
+
+/// SHA-256 of `msg` padded here (FIPS 180-4 §5.1.1) and folded by the
+/// portable kernel: a check on the hasher's padding that shares none of it.
+std::string reference_padded_hex(byte_view msg) {
+  byte_buffer padded(msg.begin(), msg.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    padded.push_back(static_cast<std::uint8_t>((msg.size() * 8) >> shift));
+  }
+  std::uint32_t state[8] = {0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u,
+                            0xa54ff53au, 0x510e527fu, 0x9b05688cu,
+                            0x1f83d9abu, 0x5be0cd19u};
+  sha256_kernels::portable(state, padded.data(), padded.size() / 64);
+  byte_buffer digest;
+  for (const std::uint32_t word : state) {
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      digest.push_back(static_cast<std::uint8_t>(word >> shift));
+    }
+  }
+  return to_hex(digest);
+}
+
+TEST(Sha256, EveryLengthMatchesSplitUpdatesAndReferencePadding) {
+  rng r(11);
+  const byte_buffer data = random_bytes(r, 1100);
+  for (std::size_t n = 0; n <= data.size(); ++n) {
+    const byte_view msg = byte_view{data}.first(n);
+    sha256_hasher h;
+    for (std::size_t off = 0; off < n;) {
+      const std::size_t take = std::min<std::size_t>(
+          n - off, static_cast<std::size_t>(r.uniform_range(0, 130)));
+      h.update(msg.subspan(off, take));
+      off += take;
+    }
+    const sha256_digest one_shot = sha256(msg);
+    ASSERT_EQ(h.finish(), one_shot) << n << " B";
+    ASSERT_EQ(one_shot.hex(), reference_padded_hex(msg)) << n << " B";
+  }
+}
+
+// --- SHA-256 block kernels, each driven directly ----------------------------
+
+struct sha256_kernel_case {
+  const char* name;
+  sha256_kernels::block_fn kernel;
+  bool needs_sha_ni;
+};
+
+void PrintTo(const sha256_kernel_case& c, std::ostream* os) { *os << c.name; }
+
+class Sha256Kernel : public ::testing::TestWithParam<sha256_kernel_case> {
+ protected:
+  void SetUp() override {
+    if (GetParam().needs_sha_ni && !sha256_kernels::has_sha_ni()) {
+      GTEST_SKIP() << "this CPU lacks the SHA extensions; " << GetParam().name
+                   << " kernel not exercised";
+    }
+  }
+};
+
+TEST_P(Sha256Kernel, FipsVectors) {
+  for (const auto& [input, digest] : fips_sha256_vectors()) {
+    EXPECT_EQ(sha256_kernels::sha256_with(GetParam().kernel, as_bytes(input))
+                  .hex(),
+              digest)
+        << input.size() << " B";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, Sha256Kernel,
+    ::testing::Values(
+        sha256_kernel_case{"portable", sha256_kernels::portable, false},
+        sha256_kernel_case{"sha_ni", sha256_kernels::sha_ni, true}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+TEST(Sha256Kernels, ShaNiMatchesPortableOnRandomStates) {
+  if (!sha256_kernels::has_sha_ni()) {
+    GTEST_SKIP() << "this CPU lacks the SHA extensions; nothing to compare";
+  }
+  rng r(12);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::uint32_t portable[8], sha_ni[8];
+    for (std::uint32_t& word : portable) {
+      word = static_cast<std::uint32_t>(r.next());
+    }
+    std::memcpy(sha_ni, portable, sizeof sha_ni);
+    const auto blocks = static_cast<std::size_t>(r.uniform_range(1, 64));
+    // Unaligned starts, as update() passes arbitrary offsets into a buffer.
+    const auto skew = static_cast<std::size_t>(r.uniform(16));
+    const byte_buffer data = random_bytes(r, skew + 64 * blocks);
+    sha256_kernels::portable(portable, data.data() + skew, blocks);
+    sha256_kernels::sha_ni(sha_ni, data.data() + skew, blocks);
+    ASSERT_TRUE(std::equal(portable, portable + 8, sha_ni))
+        << "trial " << trial << ", " << blocks << " blocks";
+  }
 }
 
 // --- CRC-32 ------------------------------------------------------------------

@@ -153,7 +153,9 @@ TEST(SampleWindows, LargeInputGetsEightSortedDisjointWindows) {
   for (std::size_t i = 0; i < w.size(); ++i) {
     EXPECT_EQ(w[i].length, 16 * 1024 / 8) << i;
     EXPECT_LE(w[i].offset + w[i].length, size) << i;
-    if (i > 0) EXPECT_GE(w[i].offset, w[i - 1].offset + w[i - 1].length) << i;
+    if (i > 0) {
+      EXPECT_GE(w[i].offset, w[i - 1].offset + w[i - 1].length) << i;
+    }
   }
   EXPECT_EQ(w.back().offset + w.back().length, size);
 }

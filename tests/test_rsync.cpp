@@ -214,7 +214,7 @@ TEST(ApplyDelta, OutOfRangeBlockThrows) {
   file_delta delta;
   delta.block_size = 1024;
   delta.new_file_size = 1024;
-  delta.ops.push_back({delta_op::kind::copy, 5, 1, {}});
+  delta.ops.push_back({delta_op::kind::copy, 5, 1, {}, {}});
   rng r(15);
   const byte_buffer old_data = random_bytes(r, 2048);
   EXPECT_THROW(apply_delta(old_data, delta), std::runtime_error);
@@ -224,7 +224,7 @@ TEST(ApplyDelta, SizeMismatchThrows) {
   file_delta delta;
   delta.block_size = 1024;
   delta.new_file_size = 9999;  // lies about the size
-  delta.ops.push_back({delta_op::kind::literal, 0, 0, to_buffer("abc")});
+  delta.ops.push_back({delta_op::kind::literal, 0, 0, to_buffer("abc"), {}});
   EXPECT_THROW(apply_delta({}, delta), std::runtime_error);
 }
 
