@@ -1,18 +1,17 @@
-// Fleet replay at scale: rope (CoW content store) vs flat per-layer copies,
-// same workload, one binary.
+// Fleet replay at scale on the CoW content store.
 //
 // Two grids:
-//   - identity grid (old caps: 2500 files/service, 2 MiB clamp): the CoW
-//     rewrite must be invisible in every report — per-service fleet/TUE
-//     reports byte-identical to the flat path, and identical when the
-//     replay runs on 1 vs 4 threads (CLOUDSYNC_THREADS equivalent).
+//   - identity grid (old caps: 2500 files/service, 2 MiB clamp): per-service
+//     fleet/TUE reports must be byte-identical when the replay runs on 1 vs 4
+//     threads (CLOUDSYNC_THREADS equivalent).
 //   - scale grid (new defaults: whole trace, 64 MiB clamp, dedup-heavy by
 //     construction — duplicate byte share raised to 45 % and version churn
 //     doubled over the calibrated trace, modelling collaboration folders):
-//     peak store memory and wall-clock per mode. The self-check requires
-//     >= 5x peak-memory reduction for the rope.
+//     peak store memory and wall-clock. The self-check requires the peak to
+//     stay >= 5x below kLastFlatPeakBytes, the peak the flat per-layer-copy
+//     store reached on this grid when it last ran.
 //
-// Each leg runs in a forked child so modes cannot share interned chunks,
+// Each leg runs in a forked child so legs cannot share interned chunks,
 // memo entries, or a high-water mark; the child reports the store's peak
 // live bytes (primary metric) and ru_maxrss (corroboration).
 //
@@ -38,6 +37,13 @@ using namespace cloudsync::bench;
 
 namespace {
 
+/// Peak live store bytes of the scale grid under the flat store (one private
+/// buffer per layer and version), as last measured before that store was
+/// deleted: 16.98 GB, 6.5x the CoW peak of the same run (BENCH_fleet.json
+/// history, EXPERIMENTS.md).
+constexpr std::uint64_t kLastFlatPeakBytes = 16'975'126'037;
+constexpr double kTargetReduction = 5.0;
+
 struct run_result {
   double wall_ms = 0;
   std::uint64_t peak_store_bytes = 0;
@@ -62,15 +68,14 @@ std::string serialize_reports(const std::vector<fleet_service_report>& reports) 
   return os.str();
 }
 
-/// Run one replay leg in a forked child: mode isolation is total (no shared
+/// Run one replay leg in a forked child: isolation is total (no shared
 /// intern table, wire-size cache, identity memo, or rss high-water mark).
-run_result run_leg(const fleet_config& cfg, content_mode mode) {
+run_result run_leg(const fleet_config& cfg) {
   int fd[2];
   if (pipe(fd) != 0) return {};
   const pid_t pid = fork();
   if (pid == 0) {
     close(fd[0]);
-    content_store::global().set_mode(mode);
     content_store::global().reset_peak();
     const auto t0 = std::chrono::steady_clock::now();
     const auto reports = replay_trace_fleet(cfg);
@@ -149,9 +154,9 @@ int main(int argc, char** argv) {
   }
 
   print_section(small ? "Fleet scale report (small identity grid)"
-                      : "Fleet scale report: rope vs flat at matched scale");
+                      : "Fleet scale report: CoW store at scale");
 
-  // Identity grid at the historical caps: the CoW store must be invisible.
+  // Identity grid at the historical caps: thread count must be invisible.
   fleet_config id_cfg;
   id_cfg.trace.scale = small ? 0.005 : 0.02;
   id_cfg.max_files_per_service = small ? 100 : 2500;
@@ -161,35 +166,29 @@ int main(int argc, char** argv) {
   std::printf("identity grid: scale %.3f, cap %zu files/service, clamp %s\n",
               id_cfg.trace.scale, id_cfg.max_files_per_service,
               human(static_cast<double>(id_cfg.trace.max_file_bytes)).c_str());
-  const run_result id_flat = run_leg(id_cfg, content_mode::flat);
-  const run_result id_cow = run_leg(id_cfg, content_mode::cow);
+  const run_result id_cow = run_leg(id_cfg);
   fleet_config id_mt_cfg = id_cfg;
   id_mt_cfg.replay_threads = 4;
-  const run_result id_cow_mt = run_leg(id_mt_cfg, content_mode::cow);
-  print_leg("flat", id_flat);
+  const run_result id_cow_mt = run_leg(id_mt_cfg);
   print_leg("cow", id_cow);
   print_leg("cow x4thr", id_cow_mt);
 
-  const bool legs_ok = id_flat.ok && id_cow.ok && id_cow_mt.ok;
-  const bool identical_mode =
-      legs_ok && id_cow.report_hash == id_flat.report_hash;
+  const bool legs_ok = id_cow.ok && id_cow_mt.ok;
   const bool identical_threads =
       legs_ok && id_cow.report_hash == id_cow_mt.report_hash;
-  std::printf("  reports byte-identical cow vs flat: %s; across 1/4 replay "
-              "threads: %s\n",
-              identical_mode ? "yes" : "NO", identical_threads ? "yes" : "NO");
+  std::printf("  reports byte-identical across 1/4 replay threads: %s\n",
+              identical_threads ? "yes" : "NO");
 
   // Scale grid at the new defaults: whole trace, 64 MiB clamp, and a
   // dedup-heavy workload — the duplicate byte share is raised from the
   // trace's calibrated 18.8 % to 45 % and the version churn roughly doubled
   // (collaboration-style folders: shared documents re-saved many times).
-  // Every flat-mode version is a full private copy in the cloud history;
-  // a CoW version shares all but the patched chunk, so this grid is where
-  // per-layer copying actually hurts.
-  run_result sc_flat, sc_cow;
+  // A CoW version shares all but the patched chunk, so this grid is where
+  // per-layer copying would hurt most.
+  run_result sc_cow;
   double reduction = 0;
   bool reduction_ok = true;  // vacuously true for --small
-  fleet_config sc_cfg;  // whole trace; clamp pinned (flat leg copies bytes)
+  fleet_config sc_cfg;  // whole trace; clamp pinned to match the flat record
   sc_cfg.trace.max_file_bytes = 64 * MiB;
   sc_cfg.trace.scale = 0.03;
   sc_cfg.trace.p_full_duplicate = 0.45;
@@ -203,24 +202,21 @@ int main(int argc, char** argv) {
                 human(static_cast<double>(sc_cfg.trace.max_file_bytes)).c_str(),
                 sc_cfg.trace.p_full_duplicate,
                 sc_cfg.trace.modify_geometric_p);
-    sc_flat = run_leg(sc_cfg, content_mode::flat);
-    sc_cow = run_leg(sc_cfg, content_mode::cow);
-    print_leg("flat", sc_flat);
+    sc_cow = run_leg(sc_cfg);
     print_leg("cow", sc_cow);
     reduction = sc_cow.peak_store_bytes == 0
                     ? 0.0
-                    : static_cast<double>(sc_flat.peak_store_bytes) /
+                    : static_cast<double>(kLastFlatPeakBytes) /
                           static_cast<double>(sc_cow.peak_store_bytes);
-    reduction_ok = sc_flat.ok && sc_cow.ok && reduction >= 5.0 &&
-                   sc_cow.report_hash == sc_flat.report_hash;
-    std::printf("  peak-memory reduction: %.1fx (target >= 5x): %s; reports "
-                "identical: %s\n",
-                reduction, reduction >= 5.0 ? "yes" : "NO",
-                sc_cow.report_hash == sc_flat.report_hash ? "yes" : "NO");
+    reduction_ok = sc_cow.ok && reduction >= kTargetReduction;
+    std::printf("  peak-memory reduction vs the last flat peak (%s): %.1fx "
+                "(target >= %.0fx): %s\n",
+                human(static_cast<double>(kLastFlatPeakBytes)).c_str(),
+                reduction, kTargetReduction,
+                reduction >= kTargetReduction ? "yes" : "NO");
   }
 
-  const bool passed = legs_ok && identical_mode && identical_threads &&
-                      reduction_ok;
+  const bool passed = legs_ok && identical_threads && reduction_ok;
 
   std::ofstream out(out_path);
   out << "{\n"
@@ -230,12 +226,9 @@ int main(int argc, char** argv) {
       << "    \"scale\": " << id_cfg.trace.scale
       << ", \"max_files_per_service\": " << id_cfg.max_files_per_service
       << ", \"max_file_bytes\": " << id_cfg.trace.max_file_bytes << ",\n";
-  json_leg(out, "flat", id_flat);
   json_leg(out, "cow", id_cow);
   json_leg(out, "cow_threads4", id_cow_mt);
-  out << "    \"reports_identical_cow_vs_flat\": "
-      << (identical_mode ? "true" : "false") << ",\n"
-      << "    \"reports_identical_threads_1_vs_4\": "
+  out << "    \"reports_identical_threads_1_vs_4\": "
       << (identical_threads ? "true" : "false") << "\n  },\n";
   if (!small) {
     out << "  \"scale_grid\": {\n"
@@ -245,11 +238,12 @@ int main(int argc, char** argv) {
         << ",\n    \"p_full_duplicate\": " << sc_cfg.trace.p_full_duplicate
         << ", \"modify_geometric_p\": " << sc_cfg.trace.modify_geometric_p
         << ",\n";
-    json_leg(out, "flat", sc_flat);
     json_leg(out, "cow", sc_cow);
-    out << "    \"peak_memory_reduction\": " << reduction
-        << ", \"target_reduction\": 5.0, \"meets_target\": "
-        << (reduction >= 5.0 ? "true" : "false") << "\n  },\n";
+    out << "    \"last_flat_peak_store_bytes\": " << kLastFlatPeakBytes
+        << ", \"peak_memory_reduction\": " << reduction
+        << ", \"target_reduction\": " << kTargetReduction
+        << ", \"meets_target\": "
+        << (reduction >= kTargetReduction ? "true" : "false") << "\n  },\n";
   }
   out << "  \"self_check_passed\": " << (passed ? "true" : "false") << "\n}\n";
   out.close();

@@ -1,13 +1,11 @@
-// Streaming sync vs legacy whole-file planning, and the post-cap scale leg.
+// Streaming sync kernels against the whole-buffer functions, and the
+// post-cap scale leg.
 //
 // Two legs:
-//   - identity leg: (a) kernel-level — signature / delta / wire bytes from
-//     the streaming jobs must be byte-identical to the whole-buffer path on
-//     multi-MB inputs; (b) engine-level — forked legacy and streaming worlds
-//     replay the same seeded workload and every traffic_meter cell (category
-//     x direction), commit count, and cloud content hash must match. Worlds
-//     fork so the process-wide signature/delta memos of one can never serve
-//     the other (which would hide a divergence).
+//   - kernel identity leg: signature / delta / wire bytes from the streaming
+//     jobs must be byte-identical to the whole-buffer path on multi-MB
+//     inputs. (Engine-level traffic is pinned by the StreamSync cells of
+//     tests/test_golden_digests.)
 //   - scale leg (full mode only): a 4 GiB incompressible file — a rope
 //     tiling a 32 x 1 MiB segment pool, so unique bytes stay O(pool) — is
 //     created and then delta-synced twice through a journaled client with
@@ -15,8 +13,8 @@
 //     store peak under 64 MiB: the cap the streaming rework removed is now
 //     the *memory* budget, not the file-size ceiling. ru_maxrss corroborates.
 //
-// Writes BENCH_stream.json (or argv[1]). `--small` runs the reduced identity
-// legs only — the ASan CI leg. Exit status is the self-check verdict.
+// Writes BENCH_stream.json (or argv[1]). `--small` runs a reduced kernel
+// identity leg only — the ASan CI leg. Exit status is the self-check verdict.
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -24,7 +22,6 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <string>
 
 #include "bench_util.hpp"
@@ -83,144 +80,6 @@ bool kernel_identity(std::size_t base_bytes) {
   ok &= new_ref.equal(apply_delta(base, parse_delta(wire)));
   return ok;
 }
-
-// ---------------------------------------------------------------------------
-// Engine identity: forked legacy vs streaming worlds on a seeded workload.
-// ---------------------------------------------------------------------------
-
-struct workload_sizes {
-  std::size_t a, b, c, append;
-};
-
-void run_workload(experiment_env& env, const workload_sizes& sz) {
-  station& st = env.primary();
-  rng content(7);
-  st.fs.create("a.bin", make_compressed_file(content, sz.a),
-               env.clock().now());
-  st.fs.create("b.txt", make_text_file(content, sz.b), env.clock().now());
-  st.fs.create("c.rand", random_bytes(content, sz.c), env.clock().now());
-  env.settle();
-  for (int i = 0; i < 3; ++i) {
-    env.clock().advance_to(env.clock().now() + sim_time::from_sec(60));
-    modify_random_byte(st.fs, "a.bin", env.random(), env.clock().now());
-    env.settle();
-  }
-  env.clock().advance_to(env.clock().now() + sim_time::from_sec(60));
-  append_random(st.fs, "b.txt", env.random(), sz.append, env.clock().now());
-  env.settle();
-  env.clock().advance_to(env.clock().now() + sim_time::from_sec(60));
-  modify_random_byte(st.fs, "c.rand", env.random(), env.clock().now());
-  env.settle();
-}
-
-struct world_run {
-  double wall_ms = 0;
-  std::uint64_t meter[2][kCats] = {};
-  std::uint64_t commits = 0;
-  std::uint64_t cloud_hash = 0;
-  std::uint64_t peak_store_bytes = 0;
-  bool ok = false;
-
-  std::uint64_t total_traffic() const {
-    std::uint64_t t = 0;
-    for (int d = 0; d < 2; ++d) {
-      for (std::size_t c = 0; c < kCats; ++c) t += meter[d][c];
-    }
-    return t;
-  }
-};
-
-/// One engine world in a forked child: legacy and streaming runs share no
-/// process-wide memo, cache, or store high-water mark.
-world_run run_world(const service_profile& profile, bool whole_file_planning,
-                    bool journal, const workload_sizes& sz) {
-  int fd[2];
-  if (pipe(fd) != 0) return {};
-  const pid_t pid = fork();
-  if (pid == 0) {
-    close(fd[0]);
-    content_store::global().reset_peak();
-    experiment_config cfg{profile};
-    cfg.method = access_method::pc_client;
-    cfg.use_content_cache = false;
-    cfg.whole_file_planning = whole_file_planning;
-    cfg.journal = journal;
-    const auto t0 = std::chrono::steady_clock::now();
-    experiment_env env(cfg);
-    run_workload(env, sz);
-    world_run w;
-    w.wall_ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-    const traffic_meter& m = env.primary().client->meter();
-    for (int d = 0; d < 2; ++d) {
-      for (std::size_t c = 0; c < kCats; ++c) {
-        w.meter[d][c] = m.get(static_cast<direction>(d),
-                              static_cast<traffic_category>(c));
-      }
-    }
-    w.commits = env.primary().client->commit_count();
-    std::uint64_t h = 0;
-    for (const char* path : {"a.bin", "b.txt", "c.rand"}) {
-      h = mix64(h ^ env.the_cloud().file_content(0, path)->hash64());
-    }
-    w.cloud_hash = h;
-    w.peak_store_bytes = content_store::global().stats().peak_live_bytes;
-    w.ok = true;
-    std::size_t off = 0;
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&w);
-    while (off < sizeof w) {
-      const ssize_t n = write(fd[1], p + off, sizeof(w) - off);
-      if (n <= 0) _exit(2);
-      off += static_cast<std::size_t>(n);
-    }
-    _exit(0);
-  }
-  close(fd[1]);
-  world_run w;
-  std::size_t off = 0;
-  auto* p = reinterpret_cast<std::uint8_t*>(&w);
-  while (off < sizeof w) {
-    const ssize_t n = read(fd[0], p + off, sizeof(w) - off);
-    if (n <= 0) break;
-    off += static_cast<std::size_t>(n);
-  }
-  close(fd[0]);
-  int status = 0;
-  waitpid(pid, &status, 0);
-  if (off != sizeof w || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-    return {};
-  }
-  return w;
-}
-
-/// Per-cell meter equality — not grand totals, which could mask compensating
-/// differences between categories or directions.
-bool worlds_identical(const world_run& legacy, const world_run& streaming) {
-  if (!legacy.ok || !streaming.ok) return false;
-  bool same = true;
-  for (int d = 0; d < 2; ++d) {
-    for (std::size_t c = 0; c < kCats; ++c) {
-      if (legacy.meter[d][c] != streaming.meter[d][c]) {
-        std::printf("    MISMATCH %s %s: legacy %llu streaming %llu\n",
-                    to_string(static_cast<traffic_category>(c)),
-                    d == 0 ? "up" : "down",
-                    static_cast<unsigned long long>(legacy.meter[d][c]),
-                    static_cast<unsigned long long>(streaming.meter[d][c]));
-        same = false;
-      }
-    }
-  }
-  same &= legacy.commits == streaming.commits;
-  same &= legacy.cloud_hash == streaming.cloud_hash;
-  return same;
-}
-
-struct identity_case {
-  const char* key;
-  world_run legacy, streaming;
-  bool identical = false;
-};
 
 // ---------------------------------------------------------------------------
 // Scale leg: one 4 GiB file through a journaled streaming client.
@@ -356,15 +215,6 @@ scale_run run_scale_leg() {
   return s;
 }
 
-void json_world(std::ostream& os, const char* key, const world_run& w,
-                bool last = false) {
-  os << "      \"" << key << "\": {\"wall_ms\": " << w.wall_ms
-     << ", \"total_traffic\": " << w.total_traffic()
-     << ", \"commits\": " << w.commits
-     << ", \"peak_store_bytes\": " << w.peak_store_bytes << "}"
-     << (last ? "\n" : ",\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -378,7 +228,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  print_section(small ? "Streaming sync report (small identity legs)"
+  print_section(small ? "Streaming sync report (small kernel identity leg)"
                       : "Streaming sync report: identity + 4 GiB scale leg");
 
   // Kernel identity: the streaming jobs against the whole-buffer functions.
@@ -387,37 +237,6 @@ int main(int argc, char** argv) {
   std::printf("kernel identity (%s base): %s\n",
               human(static_cast<double>(kernel_bytes)).c_str(),
               kernel_ok ? "byte-identical" : "DIVERGED");
-
-  // Engine identity: legacy whole-file planning vs streaming, forked worlds.
-  const workload_sizes sz = small
-                                ? workload_sizes{384 * KiB, 192 * KiB,
-                                                 128 * KiB, 16 * KiB}
-                                : workload_sizes{6 * MiB, 3 * MiB, 4 * MiB,
-                                                 32 * KiB};
-  identity_case cases[] = {
-      {"dropbox", {}, {}, false},           // IDS + compression
-      {"google_drive", {}, {}, false},      // full-file, no IDS
-      {"dropbox_journal", {}, {}, false},   // resumable sessions
-  };
-  std::printf("engine identity: workload %s/%s/%s, legacy vs streaming\n",
-              human(static_cast<double>(sz.a)).c_str(),
-              human(static_cast<double>(sz.b)).c_str(),
-              human(static_cast<double>(sz.c)).c_str());
-  bool engine_ok = true;
-  for (identity_case& c : cases) {
-    const bool journal = std::strcmp(c.key, "dropbox_journal") == 0;
-    const service_profile prof =
-        std::strcmp(c.key, "google_drive") == 0 ? google_drive() : dropbox();
-    c.legacy = run_world(prof, /*whole_file_planning=*/true, journal, sz);
-    c.streaming = run_world(prof, /*whole_file_planning=*/false, journal, sz);
-    c.identical = worlds_identical(c.legacy, c.streaming);
-    std::printf("  %-16s legacy %7.0f ms  streaming %7.0f ms  traffic %10s  "
-                "identical: %s\n",
-                c.key, c.legacy.wall_ms, c.streaming.wall_ms,
-                human(static_cast<double>(c.streaming.total_traffic())).c_str(),
-                c.identical ? "yes" : "NO");
-    engine_ok &= c.identical;
-  }
 
   // Scale leg (full mode): the file the 64 MiB cap used to forbid.
   scale_run sc;
@@ -440,24 +259,14 @@ int main(int argc, char** argv) {
                 sc.converged ? "yes" : "NO");
   }
 
-  const bool passed = kernel_ok && engine_ok && scale_ok;
+  const bool passed = kernel_ok && scale_ok;
 
   std::ofstream out(out_path);
   out << "{\n"
       << "  \"bench\": \"stream_scale\",\n"
       << "  \"small\": " << (small ? "true" : "false") << ",\n"
       << "  \"kernel_identity\": {\"base_bytes\": " << kernel_bytes
-      << ", \"identical\": " << (kernel_ok ? "true" : "false") << "},\n"
-      << "  \"engine_identity\": {\n";
-  for (std::size_t i = 0; i < std::size(cases); ++i) {
-    const identity_case& c = cases[i];
-    out << "    \"" << c.key << "\": {\n";
-    json_world(out, "legacy", c.legacy);
-    json_world(out, "streaming", c.streaming);
-    out << "      \"identical\": " << (c.identical ? "true" : "false")
-        << "\n    }" << (i + 1 < std::size(cases) ? ",\n" : "\n");
-  }
-  out << "  },\n";
+      << ", \"identical\": " << (kernel_ok ? "true" : "false") << "},\n";
   if (!small) {
     out << "  \"scale_leg\": {\n"
         << "    \"file_bytes\": " << sc.file_bytes

@@ -60,9 +60,7 @@ int main() {
   const std::string latest_key = man->object_key;
   cl.store().undelete(latest_key);
   const auto restored = cl.store().get(latest_key);
-  pc.fs.create("thesis_restored.tex",
-               restored->retain(),
-               env.clock().now());
+  pc.fs.create("thesis_restored.tex", *restored, env.clock().now());
   env.settle();
   std::printf("\nrestored from retained version: \"%s\"\n",
               to_string(*restored).c_str());

@@ -580,12 +580,6 @@ std::uint64_t wire_payload_size_delta(const file_delta& delta, int level) {
   return sizer.finish();
 }
 
-std::uint64_t sync_client::shipped_size(byte_view content, int level) const {
-  if (level <= 0 || content.empty()) return content.size();
-  if (opts_.cache == nullptr) return wire_payload_size(content, level);
-  return opts_.cache->shipped_size(content, level, &wire_payload_size);
-}
-
 std::uint64_t sync_client::shipped_size(const content_ref& content,
                                         int level) const {
   return shipped_content_size(planning_environment(), content, level);
@@ -598,7 +592,6 @@ planning_env sync_client::planning_environment() const {
   env.cl = &cloud_;
   env.user = user_;
   env.cache = opts_.cache;
-  env.whole_file_planning = opts_.whole_file_planning;
   env.journaled = opts_.journal != nullptr;
   env.session_chunk_bytes = opts_.recovery.chunk_bytes;
   return env;
@@ -622,7 +615,7 @@ upload_plan sync_client::plan_upload(const std::string& path, sim_time at,
     if (base != base_version_.end() && man->version > base->second) {
       const std::string conflict = path + " (conflicted copy)";
       if (!fs_.exists(conflict)) {
-        fs_.create(conflict, content.retain(), at);
+        fs_.create(conflict, content, at);
       }
       ++conflicts_;
       return plan;  // nothing shipped for the contested path
@@ -675,7 +668,7 @@ void sync_client::apply_upload(const std::string& path,
   }
   base_version_[path] = cloud_.manifest(user_, path)->version;
   shadow_entry& sh = shadow_[path];
-  sh.content = content.retain();
+  sh.content = content;
   sh.sig.reset();  // the memoized signature no longer matches
   install_cache_tier(path, sh.content);
   // Calibration feedback: the plan's app bytes are exactly what the
@@ -701,7 +694,7 @@ void sync_client::apply_upload_session(const std::string& path,
   if (plan.dedup_commit) cloud_.dedup().commit(user_, content);
   base_version_[path] = cloud_.manifest(user_, path)->version;
   shadow_entry& sh = shadow_[path];
-  sh.content = content.retain();
+  sh.content = content;
   sh.sig.reset();
   install_cache_tier(path, sh.content);
   if (opts_.protocol.mode == protocol_mode::adaptive) {
@@ -1067,17 +1060,16 @@ void sync_client::download(const std::string& path) {
 
   // Adopt the remote version as the synced state, then materialise it
   // locally (suppressed: our own write must not re-enter the upload
-  // pipeline). retain() shares chunks in CoW mode and deep-copies in flat
-  // mode, so each layer's ownership semantics are preserved either way.
+  // pipeline).
   shadow_entry& sh = shadow_[path];
-  sh.content = content.retain();
+  sh.content = content;
   sh.sig.reset();
   install_cache_tier(path, sh.content);
   applying_remote_ = true;
   if (fs_.exists(path)) {
-    fs_.write(path, content.retain(), clock_.now());
+    fs_.write(path, content, clock_.now());
   } else {
-    fs_.create(path, content.retain(), clock_.now());
+    fs_.create(path, content, clock_.now());
   }
   applying_remote_ = false;
   const file_manifest* man = cloud_.manifest(user_, path);
@@ -1125,7 +1117,7 @@ std::size_t sync_client::poll_remote_changes() {
       // (the Dropbox behaviour).
       const std::string conflict = note.path + " (conflicted copy)";
       if (!fs_.exists(conflict)) {
-        fs_.create(conflict, fs_.read(note.path).retain(), clock_.now());
+        fs_.create(conflict, fs_.read(note.path), clock_.now());
       }
       drop_entry_estimate(note.path);
       dirty_.erase(note.path);
@@ -1233,7 +1225,7 @@ sim_time sync_client::recover_in_flight(const journal_record& rec,
       return t;
     }
     shadow_entry& sh = shadow_[rec.path];
-    sh.content = base_content->retain();
+    sh.content = *base_content;
     sh.sig.reset();
     install_cache_tier(rec.path, sh.content);
     base_version_[rec.path] = cur;
@@ -1299,7 +1291,7 @@ void sync_client::rescan_after_recovery() {
     if (in_sync) {
       // Adopt as the synced state (a local disk read, not a download).
       shadow_entry& sh = shadow_[path];
-      sh.content = local.retain();
+      sh.content = local;
       sh.sig.reset();
       install_cache_tier(path, sh.content);
       base_version_[path] = man->version;

@@ -62,14 +62,13 @@ struct retry_policy {
   sim_time requeue_cooldown = sim_time::from_sec(45);
 };
 
-/// Wire-payload size of `content` under compression `level`: the pure
-/// computation behind sync_client::shipped_size(), including the real-client
-/// fast path that skips the compressor for incompressible data. Exposed as a
-/// free function so the content_cache memoization can be verified against
-/// direct recomputation.
+/// Wire-payload size of `content` under compression `level`, including the
+/// real-client fast path that skips the compressor for incompressible data.
+/// This is the flat reference the two streaming sizers below are tested
+/// against; planning itself only calls those.
 std::uint64_t wire_payload_size(byte_view content, int level);
 
-/// Streaming twin of wire_payload_size: walks the rope's segments through
+/// wire_payload_size over a rope: walks the rope's segments through
 /// the sampled compressibility probe and the exact stream sizer, returning
 /// the identical value without ever flattening the content. This is what
 /// lets multi-GB uploads be priced in O(MB) working memory.
@@ -134,13 +133,6 @@ struct sync_options {
   /// default), or uncapped in write-through mode, the client's wire traffic
   /// is byte-identical to the cacheless engine.
   block_cache* cache_tier = nullptr;
-  /// Legacy planning mode: flatten file contents and materialize delta wire
-  /// buffers instead of streaming rope windows through the incremental
-  /// sig/delta jobs and the stream sizer. Exists solely so the identity leg
-  /// of bench/stream_scale_report can prove the streaming path meters
-  /// byte-identical traffic; it holds whole files in memory and must not be
-  /// used for uncapped inputs.
-  bool whole_file_planning = false;
 };
 
 class sync_client {
@@ -299,12 +291,8 @@ class sync_client {
   void apply_upload(const std::string& path, const upload_plan& plan,
                     sim_time at);
 
-  /// Wire-payload size of `content` under compression `level`, with a fast
-  /// path that skips compressing incompressible data (as real clients do).
-  std::uint64_t shipped_size(byte_view content, int level) const;
-  /// Rope variant: memoized under the same (content hash, size, level) key
-  /// as the flat overload; in streaming mode a miss walks the rope through
-  /// the stream sizer, in legacy mode it flattens for the compressor.
+  /// Wire-payload size of `content` under compression `level`
+  /// (shipped_content_size with this client's planning environment).
   std::uint64_t shipped_size(const content_ref& content, int level) const;
 
   /// One sync transaction: run the exchange, then `apply` (server-side

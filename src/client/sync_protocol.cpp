@@ -8,7 +8,7 @@
 namespace cloudsync {
 
 namespace {
-/// The memoizable part of a streaming IDS plan: the delta's event stream
+/// The memoizable part of an IDS plan: the delta's event stream
 /// (indices and offsets only) plus the identity of its serialized wire form.
 /// Deliberately holds no payload bytes and no rope refs — entries live
 /// process-wide, and a memo pinning content store chunks would leak them
@@ -70,14 +70,8 @@ const char* to_string(protocol_id id) {
 std::uint64_t shipped_content_size(const planning_env& env,
                                    const content_ref& content, int level) {
   if (level <= 0 || content.empty()) return content.size();
-  const auto compute = [&] {
-    return env.whole_file_planning
-               ? wire_payload_size(content.flatten(), level)
-               : wire_payload_size_ref(content, level);
-  };
+  const auto compute = [&] { return wire_payload_size_ref(content, level); };
   if (env.cache == nullptr) return compute();
-  // hash64() matches content_hash64 of the flat bytes, so rope and flat
-  // lookups hit the same cache entries.
   return env.cache->shipped_size_keyed(content.hash64(), content.size(),
                                        level, compute);
 }
@@ -85,14 +79,8 @@ std::uint64_t shipped_content_size(const planning_env& env,
 std::uint64_t shipped_delta_size(const planning_env& env,
                                  const delta_blueprint& bp, int level) {
   if (level <= 0 || bp.wire_size == 0) return bp.wire_size;
-  const auto compute = [&]() -> std::uint64_t {
-    return env.whole_file_planning
-               ? wire_payload_size(bp.wire, level)
-               : wire_payload_size_delta(bp.delta, level);
-  };
+  const auto compute = [&] { return wire_payload_size_delta(bp.delta, level); };
   if (env.cache == nullptr) return compute();
-  // wire_hash == content_hash64 of the serialized delta, so both planning
-  // modes (and any flat-bytes lookup) share the same cache entries.
   return env.cache->shipped_size_keyed(bp.wire_hash, bp.wire_size, level,
                                        compute);
 }
@@ -103,9 +91,7 @@ const file_signature& shadow_signature(const planning_env& env,
   if (!sh.sig || sh.sig_block_size != block_size) {
     auto sign = [&]() -> signature_ptr {
       return std::make_shared<const file_signature>(
-          env.whole_file_planning
-              ? compute_signature(sh.content.flatten(), block_size)
-              : compute_signature_ref(sh.content, block_size));
+          compute_signature_ref(sh.content, block_size));
     };
     sh.sig = env.cache != nullptr
                  ? signature_memo().get_or_compute_keyed(
@@ -178,40 +164,31 @@ class rsync_protocol final : public sync_protocol {
     plan.dedup_commit = dedup_participates(env);
 
     const file_signature& sig = shadow_signature(env, sh);
+    auto plan_skeleton = [&]() -> skeleton_ptr {
+      auto sk = std::make_shared<delta_skeleton>();
+      sk->events = compute_delta_events(sig, content);
+      const file_delta d =
+          delta_from_events(sig.block_size, content, sk->events);
+      sk->wire_size = delta_wire_size(d);
+      content_hasher64 h;
+      walk_delta_wire(d, [&](byte_view v) { h.update(v); });
+      sk->wire_hash = h.finish();
+      return sk;
+    };
+    // Key: the new content (hashed) + the old file's identity (salt, cached
+    // alongside the signature), which together determine the delta exactly.
+    // The memo stores the ref-free skeleton; the blueprint's rope refs are
+    // re-bound to this plan's content and die with the plan.
+    const skeleton_ptr sk =
+        env.cache != nullptr
+            ? delta_memo().get_or_compute_keyed(content.hash64(),
+                                                content.size(), sh.sig_salt,
+                                                plan_skeleton)
+            : plan_skeleton();
     auto bp = std::make_shared<delta_blueprint>();
-    if (env.whole_file_planning) {
-      // Legacy identity-leg path: whole buffers, no memo (the memo must not
-      // hold payload bytes; the identity leg only cares about wire bytes).
-      bp->delta = compute_delta(sig, content.flatten());
-      bp->wire = serialize_delta(bp->delta);
-      bp->wire_size = bp->wire.size();
-      bp->wire_hash = content_hash64(bp->wire);
-    } else {
-      auto plan_skeleton = [&]() -> skeleton_ptr {
-        auto sk = std::make_shared<delta_skeleton>();
-        sk->events = compute_delta_events(sig, content);
-        const file_delta d =
-            delta_from_events(sig.block_size, content, sk->events);
-        sk->wire_size = delta_wire_size(d);
-        content_hasher64 h;
-        walk_delta_wire(d, [&](byte_view v) { h.update(v); });
-        sk->wire_hash = h.finish();
-        return sk;
-      };
-      // Key: the new content (hashed) + the old file's identity (salt,
-      // cached alongside the signature), which together determine the delta
-      // exactly. The memo stores the ref-free skeleton; the blueprint's rope
-      // refs are re-bound to this plan's content and die with the plan.
-      const skeleton_ptr sk =
-          env.cache != nullptr
-              ? delta_memo().get_or_compute_keyed(content.hash64(),
-                                                  content.size(), sh.sig_salt,
-                                                  plan_skeleton)
-              : plan_skeleton();
-      bp->delta = delta_from_events(sig.block_size, content, sk->events);
-      bp->wire_size = sk->wire_size;
-      bp->wire_hash = sk->wire_hash;
-    }
+    bp->delta = delta_from_events(sig.block_size, content, sk->events);
+    bp->wire_size = sk->wire_size;
+    bp->wire_hash = sk->wire_hash;
     plan.blueprint = std::move(bp);
     // The delta's literal regions are compressed like any upload.
     plan.payload_up =

@@ -27,14 +27,12 @@
 namespace cloudsync {
 
 /// A memoized IDS plan: the delta against one specific old version plus the
-/// identity of its serialized wire form. Streaming planning never builds the
-/// wire buffer — literal ops reference the new file's rope, and `wire_size` /
+/// identity of its serialized wire form. Planning never builds the wire
+/// buffer — literal ops reference the new file's rope, and `wire_size` /
 /// `wire_hash` (exactly serialize_delta's length and content_hash64) key the
-/// wire-payload memo instead. Legacy whole-file planning additionally keeps
-/// the materialized buffer in `wire`.
+/// wire-payload memo instead.
 struct delta_blueprint {
   file_delta delta;
-  byte_buffer wire;             ///< whole_file_planning only; else empty
   std::uint64_t wire_size = 0;  ///< == serialize_delta(delta).size()
   std::uint64_t wire_hash = 0;  ///< == content_hash64(serialize_delta(delta))
 };
@@ -101,7 +99,6 @@ struct planning_env {
   cloud* cl = nullptr;
   user_id user = 0;
   content_cache* cache = nullptr;  ///< nullptr = recompute every size
-  bool whole_file_planning = false;
   bool journaled = false;          ///< uploads ship through chunked sessions
   std::size_t session_chunk_bytes = 0;  ///< recovery chunk size when journaled
 
@@ -174,15 +171,14 @@ const sync_protocol& select_service_default(const planning_env& env,
 // ---------------------------------------------------------------------------
 
 /// Wire-payload size of `content` under compression `level`, memoized in
-/// env.cache under the same (content hash, size, level) key as the flat
-/// overload; in streaming mode a miss walks the rope through the stream
-/// sizer, in legacy mode it flattens for the compressor.
+/// env.cache under its (content hash, size, level) key; a miss walks the
+/// rope through the stream sizer.
 std::uint64_t shipped_content_size(const planning_env& env,
                                    const content_ref& content, int level);
 
 /// Wire-payload size of a planned delta's serialized bytes, memoized under
-/// the same (wire hash, wire size, level) key the flat overload would use
-/// for the materialized buffer.
+/// its (wire hash, wire size, level) key; a miss walks the delta's wire
+/// through the stream sizer.
 std::uint64_t shipped_delta_size(const planning_env& env,
                                  const delta_blueprint& bp, int level);
 

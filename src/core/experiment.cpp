@@ -72,7 +72,6 @@ void experiment_env::build_client(station& st) {
   opts.retry = cfg_.retry;
   opts.transfer = cfg_.transfer;
   opts.protocol = cfg_.protocol;
-  opts.whole_file_planning = cfg_.whole_file_planning;
   if (cfg_.journal) {
     opts.journal = &st.journal;
     opts.recovery = cfg_.recovery;

@@ -43,10 +43,6 @@ struct experiment_config {
   bool journal = false;
   recovery_options recovery{};
   sim_time restart_delay = sim_time::from_sec(5);
-  /// Plan uploads/deltas over flattened whole-file buffers instead of the
-  /// streaming jobs (sync_options::whole_file_planning). Identity-leg only:
-  /// proves streaming meters byte-identical traffic. Never use uncapped.
-  bool whole_file_planning = false;
   /// Parallel transfer scheduler for every station's client (see
   /// net/transfer_scheduler.hpp). Disabled by default; enabled on a clean
   /// link it is byte-invisible (the controller never escalates).

@@ -7,7 +7,6 @@
 
 #include "core/parallel_runner.hpp"
 #include "store/content_ref.hpp"
-#include "store/content_store.hpp"
 #include "util/content_cache.hpp"
 
 namespace cloudsync {
@@ -51,11 +50,9 @@ content_ref pooled_record_content(std::uint64_t seed, std::uint64_t size,
 /// identity so exact duplicates get byte-identical files, sized and shaped
 /// to match the recorded size and compression ratio.
 ///
-/// In CoW mode, records with the same content identity alias one process-wide
-/// lazy ref — the bytes are generated from the seed on first read and every
-/// duplicate shares the same chunks, so fleet memory is O(unique bytes). In
-/// flat mode each call generates a private buffer, reproducing the historical
-/// per-file duplication (that is the baseline the bench compares against).
+/// Records with the same content identity alias one process-wide lazy ref —
+/// the bytes are generated from the seed on first read and every duplicate
+/// shares the same chunks, so fleet memory is O(unique bytes).
 content_ref record_content(const trace_file_record& rec) {
   const std::uint64_t size = rec.original_size;
   const std::uint64_t seed = rec.full_md5.prefix64();
@@ -65,9 +62,6 @@ content_ref record_content(const trace_file_record& rec) {
     return synthetic_payload(content_rng, static_cast<std::size_t>(size),
                              ratio);
   };
-  if (content_store::global().mode() == content_mode::flat) {
-    return content_ref::from_buffer(generate());
-  }
   // Identity memo: key is everything `generate` depends on, so a hit is the
   // same logical bytes. Thread-safe — parallel per-service replays share it.
   static content_memo<content_ref> memo(64 * 1024);

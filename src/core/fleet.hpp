@@ -33,14 +33,6 @@ struct fleet_config {
   /// the whole trace; benches that want the historical scope set it lower.
   std::size_t max_files_per_service = SIZE_MAX;
 
-  /// REMOVED MECHANISM, field kept one release for ABI/layout stability:
-  /// the replay-time file-size clamp is gone and this value is ignored —
-  /// every file replays at its recorded size (big files become bounded-pool
-  /// ropes, so fleet memory does not depend on file size). To bound sizes,
-  /// set trace.max_file_bytes: clamping at generation keeps trace
-  /// identities consistent.
-  std::uint64_t file_size_cap = 0;
-
   /// Trace timestamps are divided by this factor so months of user activity
   /// replay in a bounded number of simulated hours.
   double time_compression = 2000.0;

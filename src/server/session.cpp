@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "server/sync_server.hpp"
-#include "store/content_store.hpp"
 #include "util/content_cache.hpp"
 #include "util/rng.hpp"
 #include "util/sha256.hpp"
@@ -63,17 +62,12 @@ content_identity identity_for(std::uint64_t seed, std::uint32_t size) {
     byte_buffer bytes = random_bytes(r, size);
     content_identity id;
     id.fp = sha256(bytes);
-    if (content_store::global().mode() == content_mode::flat) {
-      id.content = content_ref::from_buffer(std::move(bytes));
-    } else {
-      // CoW mode: hold the identity as a lazy ref so a million-user grid's
-      // unmaterialized identities cost no bytes until the wire needs them.
-      id.content = content_ref::lazy(
-          size, [seed, size] {
-            rng rr(seed);
-            return random_bytes(rr, size);
-          });
-    }
+    // Hold the identity as a lazy ref so a million-user grid's
+    // unmaterialized identities cost no bytes until the wire needs them.
+    id.content = content_ref::lazy(size, [seed, size] {
+      rng rr(seed);
+      return random_bytes(rr, size);
+    });
     return id;
   });
 }

@@ -14,7 +14,7 @@ void object_store::put(const std::string& key, const content_ref& data) {
     // The key joins the live set (fresh create or un-delete).
     live_keys_.invalidate();
   }
-  rec.versions.push_back(data.retain());
+  rec.versions.push_back(data);
   rec.deleted = false;
   stats_.retained_bytes += data.size();
   stats_.live_bytes += data.size();

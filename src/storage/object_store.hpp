@@ -46,7 +46,7 @@ struct backend_op_stats {
 class object_store {
  public:
   /// Store a new version under `key` (un-deletes a tombstoned key). The
-  /// stored version shares the caller's chunks in CoW mode (retain()).
+  /// stored version shares the caller's chunks.
   void put(const std::string& key, const content_ref& data);
   void put(const std::string& key, byte_buffer data) {
     put(key, content_ref::from_buffer(std::move(data)));

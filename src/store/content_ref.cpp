@@ -32,30 +32,17 @@ content_ref content_ref::from_segments(segment_list segs) {
 content_ref content_ref::from_bytes(byte_view data) {
   if (data.empty()) return {};
   content_store& store = content_store::global();
+  const std::size_t cs = content_store::kInternChunkBytes;
   segment_list segs;
-  if (store.mode() == content_mode::flat) {
-    segs.push_back(
-        {store.adopt(byte_buffer(data.begin(), data.end())), 0, data.size()});
-  } else {
-    const std::size_t cs = content_store::kInternChunkBytes;
-    segs.reserve((data.size() + cs - 1) / cs);
-    for (std::size_t off = 0; off < data.size(); off += cs) {
-      const std::size_t len = std::min(cs, data.size() - off);
-      segs.push_back({store.intern(data.subspan(off, len)), 0, len});
-    }
+  segs.reserve((data.size() + cs - 1) / cs);
+  for (std::size_t off = 0; off < data.size(); off += cs) {
+    const std::size_t len = std::min(cs, data.size() - off);
+    segs.push_back({store.intern(data.subspan(off, len)), 0, len});
   }
   return from_segments(std::move(segs));
 }
 
 content_ref content_ref::from_buffer(byte_buffer&& data) {
-  if (data.empty()) return {};
-  content_store& store = content_store::global();
-  if (store.mode() == content_mode::flat) {
-    const std::size_t n = data.size();
-    segment_list segs;
-    segs.push_back({store.adopt(std::move(data)), 0, n});
-    return from_segments(std::move(segs));
-  }
   content_ref r = from_bytes(byte_view{data});
   data.clear();
   return r;
@@ -110,11 +97,6 @@ content_ref content_ref::patched(std::size_t off, byte_view data) const {
     throw std::out_of_range("content_ref::patched: range beyond end");
   }
   if (data.empty()) return *this;
-  if (content_store::global().mode() == content_mode::flat) {
-    byte_buffer flat = flatten();
-    std::memcpy(flat.data() + off, data.data(), data.size());
-    return from_buffer(std::move(flat));
-  }
   builder b;
   b.append(*this, 0, off);
   b.append_bytes(data);
@@ -124,22 +106,10 @@ content_ref content_ref::patched(std::size_t off, byte_view data) const {
 
 content_ref content_ref::appended(byte_view data) const {
   if (data.empty()) return *this;
-  if (content_store::global().mode() == content_mode::flat) {
-    byte_buffer flat = flatten();
-    append(flat, data);
-    return from_buffer(std::move(flat));
-  }
   builder b;
   b.append(*this);
   b.append_bytes(data);
   return b.build();
-}
-
-content_ref content_ref::retain() const {
-  if (content_store::global().mode() == content_mode::cow || empty()) {
-    return *this;
-  }
-  return from_buffer(flatten());
 }
 
 byte_buffer content_ref::flatten() const {

@@ -7,11 +7,6 @@
 // cost O(changed bytes), not O(file size). Positioning is a binary search
 // over cumulative segment offsets (O(log segments)); sequential access walks
 // segments in place.
-//
-// Flat-mode behaviour (content_store::mode() == flat): construction adopts a
-// private copy and every mutating operation (patched/appended/retain) deep-
-// copies, reproducing the old one-flat-buffer-per-layer memory model for
-// rope-vs-flat benchmarking. substr and walk never copy in either mode.
 #pragma once
 
 #include <cstdint>
@@ -36,15 +31,13 @@ class content_ref {
   /// Empty sequence.
   content_ref() = default;
 
-  /// Intern `data` in kInternChunkBytes pieces (CoW) or adopt a private copy
-  /// (flat). Equal inputs alias the same chunks in CoW mode.
+  /// Intern `data` in kInternChunkBytes pieces. Equal inputs alias the same
+  /// chunks.
   static content_ref from_bytes(byte_view data);
-  /// Same, but may take ownership of the buffer (flat mode adopts it without
-  /// copying; CoW mode interns and releases it).
+  /// Same, then releases the buffer.
   static content_ref from_buffer(byte_buffer&& data);
   /// A `size`-byte sequence materialized by `fill` on first read (one private
-  /// chunk). CoW mode only — callers gate on content_store mode and build the
-  /// content eagerly in flat mode.
+  /// chunk).
   static content_ref lazy(std::size_t size, std::function<byte_buffer()> fill);
 
   std::size_t size() const { return size_; }
@@ -62,11 +55,6 @@ class content_ref {
 
   /// Copy-on-write append.
   content_ref appended(byte_view data) const;
-
-  /// The reference a layer stores when the old code made its own byte copy:
-  /// CoW mode aliases (*this, free), flat mode deep-copies — keeping the
-  /// flat benchmark leg honest about per-layer duplication.
-  content_ref retain() const;
 
   /// Contiguous copy of the whole sequence.
   byte_buffer flatten() const;

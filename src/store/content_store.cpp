@@ -89,17 +89,6 @@ void content_store::on_chunk_destroyed(const store_chunk& c) {
 }
 
 chunk_handle content_store::intern(byte_view data) {
-  auto fresh = [&](bool interned, std::uint64_t hash) {
-    auto c = std::unique_ptr<store_chunk>(new store_chunk());
-    c->data_.assign(data.begin(), data.end());
-    c->size_ = data.size();
-    c->hash_ = hash;
-    c->interned_ = interned;
-    return finish_chunk(std::move(c));
-  };
-
-  if (mode() == content_mode::flat) return fresh(false, 0);
-
   const std::uint64_t hash = content_hash64(data);
   shard& s = shard_for(hash);
   // Candidate handles must outlive the lock: releasing the last reference to
@@ -120,18 +109,16 @@ chunk_handle content_store::intern(byte_view data) {
       hold.push_back(std::move(cand));
     }
     intern_misses_.fetch_add(1, std::memory_order_relaxed);
-    chunk_handle made = fresh(true, hash);
+    auto c = std::unique_ptr<store_chunk>(new store_chunk());
+    c->data_.assign(data.begin(), data.end());
+    c->size_ = data.size();
+    c->hash_ = hash;
+    c->interned_ = true;
+    chunk_handle made = finish_chunk(std::move(c));
     s.entries.emplace(hash, table_entry{made.get(), made});
     interned_chunks_.fetch_add(1, std::memory_order_relaxed);
     return made;
   }
-}
-
-chunk_handle content_store::adopt(byte_buffer&& data) {
-  auto c = std::unique_ptr<store_chunk>(new store_chunk());
-  c->size_ = data.size();
-  c->data_ = std::move(data);
-  return finish_chunk(std::move(c));
 }
 
 chunk_handle content_store::lazy(std::size_t size,

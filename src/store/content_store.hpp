@@ -15,11 +15,6 @@
 // Aliasing is exact, not probabilistic: interning matches on a fast 64-bit
 // content hash *and then byte-compares* against the candidate, so a hash
 // collision costs one extra chunk, never wrong bytes.
-//
-// The store also has a process-wide `flat` mode that disables interning and
-// makes every rope operation copy — reproducing the pre-CoW memory behaviour
-// so bench/fleet_scale_report can measure rope vs. flat at matched scale
-// inside one binary.
 #pragma once
 
 #include <atomic>
@@ -36,10 +31,6 @@
 namespace cloudsync {
 
 class content_store;
-
-/// CoW (default) interns and shares chunks; flat disables interning and makes
-/// rope mutations deep-copy — the old one-buffer-per-layer memory model.
-enum class content_mode : std::uint8_t { cow, flat };
 
 /// One immutable run of bytes owned by the store. Created only through
 /// content_store; always held by shared_ptr (the refcount *is* the shared
@@ -97,22 +88,10 @@ class content_store {
   /// The process-wide store every content_ref uses.
   static content_store& global();
 
-  content_mode mode() const {
-    return mode_.load(std::memory_order_relaxed);
-  }
-  /// Benches/tests only; not meant to change while refs are being built.
-  void set_mode(content_mode m) {
-    mode_.store(m, std::memory_order_relaxed);
-  }
-
   /// A handle whose bytes equal `data`: an existing interned chunk when one
   /// matches (hash bucket + exact byte compare), otherwise a fresh interned
-  /// copy. Flat mode: always a fresh private copy, never shared.
+  /// copy.
   chunk_handle intern(byte_view data);
-
-  /// Adopt `data` as a private (never-shared, never-deduped) chunk. Zero
-  /// copy; used for flat mode and for content that interning cannot help.
-  chunk_handle adopt(byte_buffer&& data);
 
   /// A private chunk of `size` bytes whose content is produced by `fill` on
   /// first read. `fill` must return exactly `size` bytes and be safe to call
@@ -167,7 +146,6 @@ class content_store {
   void note_materialized(std::size_t bytes) const;
   void on_chunk_destroyed(const store_chunk& c);
 
-  std::atomic<content_mode> mode_{content_mode::cow};
   mutable shard shards_[kShards];
   std::atomic<std::uint64_t> chunks_{0};
   mutable std::atomic<std::uint64_t> live_bytes_{0};

@@ -32,9 +32,9 @@ struct trace_params {
   double size_sigma = 3.11;  ///< yields mean ≈ 962 KB, P(<100 KB) ≈ 0.78
 
   /// Upper clamp on generated sizes; 0 = the paper's natural 2 GiB maximum.
-  /// Replaces the old replay-time fleet_config::file_size_cap: clamping at
-  /// generation keeps every downstream identity (full_md5, block_ids,
-  /// duplicate-byte accounting) consistent with the bytes actually replayed.
+  /// Clamping at generation, not at replay, keeps every downstream identity
+  /// (full_md5, block_ids, duplicate-byte accounting) consistent with the
+  /// bytes actually replayed.
   std::uint64_t max_file_bytes = 0;
 
   // -- compressibility -----------------------------------------------------

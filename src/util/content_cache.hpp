@@ -124,12 +124,6 @@ class content_memo {
     return std::nullopt;
   }
 
-  void store(byte_view content, std::uint64_t salt, Value value) {
-    const key k{content_hash64(content), content.size(), salt};
-    std::lock_guard<std::mutex> lock(mu_);
-    store_locked(k, std::move(value));
-  }
-
   std::size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
     return lru_.size();
@@ -202,25 +196,16 @@ class content_memo {
   content_cache_stats stats_;
 };
 
-/// The wire-size cache the sync client consults in shipped_size():
-/// (content, level) → compressed payload bytes.
+/// The wire-size cache planning consults (shipped_content_size,
+/// shipped_delta_size): (content, level) → compressed payload bytes.
 class content_cache {
  public:
   explicit content_cache(std::size_t capacity = 16 * 1024)
       : sizes_(capacity) {}
 
-  /// Memoized wire-payload size: returns the cached result for
-  /// (content, level) or computes, stores, and returns it.
-  std::uint64_t shipped_size(byte_view content, int level,
-                             std::uint64_t (*compute)(byte_view, int)) {
-    return sizes_.get_or_compute(
-        content, static_cast<std::uint64_t>(level),
-        [&] { return compute(content, level); });
-  }
-
-  /// Keyed variant for rope-backed content: `key_hash` must equal
-  /// content_hash64 of the flat bytes, so rope and flat callers share
-  /// entries for the same logical content.
+  /// Memoized wire-payload size: returns the cached result for the content
+  /// whose content_hash64 is `key_hash` and whose size is `length` at
+  /// `level`, or computes, stores, and returns it.
   template <typename Fn>
   std::uint64_t shipped_size_keyed(std::uint64_t key_hash,
                                    std::uint64_t length, int level,
@@ -228,13 +213,6 @@ class content_cache {
     return sizes_.get_or_compute_keyed(key_hash, length,
                                        static_cast<std::uint64_t>(level),
                                        std::forward<Fn>(compute));
-  }
-
-  std::optional<std::uint64_t> find_size(byte_view content, int level) {
-    return sizes_.find(content, static_cast<std::uint64_t>(level));
-  }
-  void store_size(byte_view content, int level, std::uint64_t size) {
-    sizes_.store(content, static_cast<std::uint64_t>(level), size);
   }
 
   std::size_t size() const { return sizes_.size(); }

@@ -24,6 +24,14 @@ TEST(ContentHash64, DistinguishesContentLengthAndEmpty) {
   EXPECT_EQ(content_hash64(a), content_hash64(a));
 }
 
+/// The cache as planning consults it: keyed by the content's hash and size.
+std::uint64_t cached_size(content_cache& cache, const byte_buffer& content,
+                          int level) {
+  return cache.shipped_size_keyed(
+      content_hash64(content), content.size(), level,
+      [&] { return wire_payload_size(content, level); });
+}
+
 TEST(ContentCache, PropertyCachedEqualsRecomputedAcrossContentsAndLevels) {
   content_cache cache(256);
   rng r(4321);
@@ -34,8 +42,8 @@ TEST(ContentCache, PropertyCachedEqualsRecomputedAcrossContentsAndLevels) {
     const int level = static_cast<int>(r.uniform(10));
     const std::uint64_t direct = wire_payload_size(content, level);
     // First call computes and stores; second must come from the cache.
-    EXPECT_EQ(cache.shipped_size(content, level, &wire_payload_size), direct);
-    EXPECT_EQ(cache.shipped_size(content, level, &wire_payload_size), direct);
+    EXPECT_EQ(cached_size(cache, content, level), direct);
+    EXPECT_EQ(cached_size(cache, content, level), direct);
   }
   const content_cache_stats st = cache.stats();
   EXPECT_EQ(st.hits, 60u);
@@ -46,8 +54,8 @@ TEST(ContentCache, SizeIsKeyedByLevel) {
   content_cache cache(16);
   rng r(7);
   const byte_buffer text = random_text(r, 8 * 1024);
-  const std::uint64_t l1 = cache.shipped_size(text, 1, &wire_payload_size);
-  const std::uint64_t l9 = cache.shipped_size(text, 9, &wire_payload_size);
+  const std::uint64_t l1 = cached_size(cache, text, 1);
+  const std::uint64_t l9 = cached_size(cache, text, 9);
   EXPECT_EQ(l1, wire_payload_size(text, 1));
   EXPECT_EQ(l9, wire_payload_size(text, 9));
   EXPECT_NE(l1, l9);  // different levels really are distinct entries

@@ -12,30 +12,18 @@
 namespace cloudsync {
 namespace {
 
-/// Run a test body in both store modes, restoring CoW afterwards.
-template <typename Fn>
-void in_both_modes(Fn&& body) {
-  for (const content_mode m : {content_mode::cow, content_mode::flat}) {
-    content_store::global().set_mode(m);
-    body(m);
-  }
-  content_store::global().set_mode(content_mode::cow);
-}
-
 TEST(ContentRef, BasicRoundTrip) {
-  in_both_modes([](content_mode) {
-    const byte_buffer data = to_buffer("hello, rope world");
-    const content_ref ref = content_ref::from_bytes(data);
-    EXPECT_EQ(ref.size(), data.size());
-    EXPECT_FALSE(ref.empty());
-    EXPECT_EQ(ref.flatten(), data);
-    EXPECT_EQ(ref, byte_view{data});
-    EXPECT_EQ(to_string(ref), "hello, rope world");
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      EXPECT_EQ(ref.at(i), data[i]);
-    }
-    EXPECT_THROW(ref.at(data.size()), std::out_of_range);
-  });
+  const byte_buffer data = to_buffer("hello, rope world");
+  const content_ref ref = content_ref::from_bytes(data);
+  EXPECT_EQ(ref.size(), data.size());
+  EXPECT_FALSE(ref.empty());
+  EXPECT_EQ(ref.flatten(), data);
+  EXPECT_EQ(ref, byte_view{data});
+  EXPECT_EQ(to_string(ref), "hello, rope world");
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    EXPECT_EQ(ref.at(i), data[i]);
+  }
+  EXPECT_THROW(ref.at(data.size()), std::out_of_range);
 }
 
 TEST(ContentRef, EmptyRef) {
@@ -50,25 +38,23 @@ TEST(ContentRef, EmptyRef) {
 }
 
 TEST(ContentRef, SubstrSharesAndMatches) {
-  in_both_modes([](content_mode) {
-    rng r(7);
-    const byte_buffer data = random_bytes(r, 200'000);  // spans >2 chunks
-    const content_ref ref = content_ref::from_bytes(data);
-    for (const auto& [off, len] : std::vector<std::pair<std::size_t,
-                                                        std::size_t>>{
-             {0, 200'000},
-             {0, 1},
-             {199'999, 1},
-             {65'535, 2},     // straddles the first intern boundary
-             {65'536, 65'536},
-             {1'000, 150'000}}) {
-      const content_ref sub = ref.substr(off, len);
-      EXPECT_EQ(sub.size(), len);
-      EXPECT_EQ(sub.flatten(),
-                byte_buffer(data.begin() + off, data.begin() + off + len));
-    }
-    EXPECT_THROW(ref.substr(1, 200'000), std::out_of_range);
-  });
+  rng r(7);
+  const byte_buffer data = random_bytes(r, 200'000);  // spans >2 chunks
+  const content_ref ref = content_ref::from_bytes(data);
+  for (const auto& [off, len] : std::vector<std::pair<std::size_t,
+                                                      std::size_t>>{
+           {0, 200'000},
+           {0, 1},
+           {199'999, 1},
+           {65'535, 2},     // straddles the first intern boundary
+           {65'536, 65'536},
+           {1'000, 150'000}}) {
+    const content_ref sub = ref.substr(off, len);
+    EXPECT_EQ(sub.size(), len);
+    EXPECT_EQ(sub.flatten(),
+              byte_buffer(data.begin() + off, data.begin() + off + len));
+  }
+  EXPECT_THROW(ref.substr(1, 200'000), std::out_of_range);
 }
 
 TEST(ContentRef, PatchBeyondEndThrows) {
@@ -119,8 +105,7 @@ TEST(ContentHasher64, StreamingMatchesOneShotUnderRandomSplits) {
 /// One randomized op sequence, checked step by step against a plain vector
 /// model. `erase` is modelled with the builder (prefix + suffix splice), the
 /// same splice delta application uses.
-void run_differential(std::uint64_t seed, content_mode mode) {
-  content_store::global().set_mode(mode);
+void run_differential(std::uint64_t seed) {
   rng r(seed);
   byte_buffer model = random_bytes(r, 1 + r.uniform(50'000));
   content_ref ref = content_ref::from_bytes(model);
@@ -129,7 +114,7 @@ void run_differential(std::uint64_t seed, content_mode mode) {
   for (int step = 0; step < 60; ++step) {
     history.push_back(ref);
     const byte_buffer before = ref.flatten();
-    switch (r.uniform(5)) {
+    switch (r.uniform(4)) {
       case 0: {  // patch
         if (model.empty()) break;
         const std::size_t off = r.uniform(model.size());
@@ -165,10 +150,6 @@ void run_differential(std::uint64_t seed, content_mode mode) {
         ref = b.build();
         break;
       }
-      case 4: {  // retain (layer adoption) — must not change bytes
-        ref = ref.retain();
-        break;
-      }
     }
     ASSERT_EQ(ref.size(), model.size()) << "seed " << seed << " step " << step;
     ASSERT_TRUE(ref.equal(byte_view{model}))
@@ -177,19 +158,10 @@ void run_differential(std::uint64_t seed, content_mode mode) {
     // Immutability: the version we started this step from is unchanged.
     ASSERT_EQ(history.back().flatten(), before);
   }
-  content_store::global().set_mode(content_mode::cow);
 }
 
 TEST(ContentRef, DifferentialAgainstVectorModelCow) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    run_differential(seed, content_mode::cow);
-  }
-}
-
-TEST(ContentRef, DifferentialAgainstVectorModelFlat) {
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    run_differential(seed, content_mode::flat);
-  }
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) run_differential(seed);
 }
 
 TEST(ContentStore, RefcountExactness) {

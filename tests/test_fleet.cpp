@@ -60,25 +60,6 @@ TEST(Fleet, CapsRespected) {
   }
 }
 
-TEST(Fleet, FileSizeCapIsIgnored) {
-  // The deprecated replay-time clamp is removed: setting file_size_cap must
-  // change nothing. Bounding sizes is trace.max_file_bytes' job (clamping
-  // at generation keeps trace identities consistent).
-  fleet_config capped = small_config();
-  capped.trace.max_file_bytes = 1 * MiB;
-  capped.max_files_per_service = 10;
-  fleet_config uncapped = capped;
-  capped.file_size_cap = 4 * KiB;
-  const auto a = replay_trace_fleet(capped);
-  const auto b = replay_trace_fleet(uncapped);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].update_bytes, b[i].update_bytes) << a[i].service;
-    EXPECT_EQ(a[i].sync_traffic, b[i].sync_traffic) << a[i].service;
-    EXPECT_EQ(a[i].commits, b[i].commits) << a[i].service;
-  }
-}
-
 TEST(Fleet, MechanismsReduceTue) {
   // On the same mixed workload, Dropbox (BDS + IDS + dedup + compression)
   // must beat Box (none of the four) on TUE.

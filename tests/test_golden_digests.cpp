@@ -1,0 +1,384 @@
+// Golden digests: the behavioural contract, checked in.
+//
+// Each cell runs one small seeded workload and reduces its outputs to one
+// line: the cell name, then `field=value` pairs named as in
+// perfbench/golden.json. `meter_up_down_by_category` lists the up direction
+// and then the down direction, each in traffic_category order. A cell passes
+// only when its line equals the one recorded in tests/golden/digests.txt, so
+// a change meant to keep behaviour (a deletion, a refactor, a speedup) must
+// leave every line byte-identical.
+//
+//   test_golden_digests            compare every cell with digests.txt
+//   test_golden_digests --record   rewrite digests.txt from this build
+//
+// Re-record only for a change that is meant to move metered bytes, and say
+// which cells moved and why.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <functional>
+#include <map>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "core/experiment.hpp"
+#include "core/fleet.hpp"
+#include "core/parallel_runner.hpp"
+#include "server/session.hpp"
+#include "server/sync_server.hpp"
+
+namespace cloudsync {
+namespace {
+
+/// The ` key=value` pairs of one digest line; the cell name goes in front.
+class digest_line {
+ public:
+
+  digest_line& num(const char* key, std::uint64_t v) {
+    text_ += ' ';
+    text_ += key;
+    text_ += '=';
+    text_ += std::to_string(v);
+    return *this;
+  }
+  digest_line& list(const char* key, const std::vector<std::uint64_t>& v) {
+    text_ += ' ';
+    text_ += key;
+    text_ += "=[";
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (i > 0) text_ += ',';
+      text_ += std::to_string(v[i]);
+    }
+    text_ += ']';
+    return *this;
+  }
+  digest_line& hex(const char* key, std::uint64_t v) {
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(v));
+    text_ += ' ';
+    text_ += key;
+    text_ += '=';
+    text_ += buf;
+    return *this;
+  }
+  const std::string& str() const { return text_; }
+
+ private:
+  std::string text_;
+};
+
+std::vector<std::uint64_t> meter_cells(const traffic_meter& m) {
+  std::vector<std::uint64_t> cells;
+  for (const direction dir : {direction::up, direction::down}) {
+    for (std::size_t c = 0;
+         c < static_cast<std::size_t>(traffic_category::kCount); ++c) {
+      cells.push_back(m.get(dir, static_cast<traffic_category>(c)));
+    }
+  }
+  return cells;
+}
+
+// --- streaming sync worlds ---------------------------------------------------
+
+/// A mix of compressible, text and incompressible files, then edits and
+/// appends: full uploads, deltas and the dedup probe all run.
+void run_stream_workload(experiment_env& env) {
+  station& st = env.primary();
+  rng content(7);
+  st.fs.create("a.bin", make_compressed_file(content, 600 * 1024),
+               env.clock().now());
+  st.fs.create("b.txt", make_text_file(content, 200 * 1024),
+               env.clock().now());
+  st.fs.create("c.rand", random_bytes(content, 150 * 1024),
+               env.clock().now());
+  env.settle();
+  for (int i = 0; i < 3; ++i) {
+    env.clock().advance_to(env.clock().now() + sim_time::from_sec(60));
+    modify_random_byte(st.fs, "a.bin", env.random(), env.clock().now());
+    env.settle();
+  }
+  env.clock().advance_to(env.clock().now() + sim_time::from_sec(60));
+  append_random(st.fs, "b.txt", env.random(), 32 * 1024, env.clock().now());
+  env.settle();
+  env.clock().advance_to(env.clock().now() + sim_time::from_sec(60));
+  modify_random_byte(st.fs, "c.rand", env.random(), env.clock().now());
+  env.settle();
+}
+
+std::string stream_cell(service_profile profile, bool journal) {
+  experiment_config cfg{std::move(profile)};
+  cfg.method = access_method::pc_client;
+  // No process-wide caches: every cell computes its own sizes and deltas.
+  cfg.use_content_cache = false;
+  cfg.journal = journal;
+  experiment_env env(cfg);
+  run_stream_workload(env);
+
+  std::uint64_t identity = 0;
+  for (const char* path : {"a.bin", "b.txt", "c.rand"}) {
+    identity =
+        mix64(identity ^ env.the_cloud().file_content(0, path)->hash64());
+  }
+  return digest_line()
+      .num("commits", env.primary().client->commit_count())
+      .list("meter_up_down_by_category",
+            meter_cells(env.primary().client->meter()))
+      .hex("identity", identity)
+      .str();
+}
+
+// --- fleet replay ------------------------------------------------------------
+
+/// test_fleet's small_config().
+std::string fleet_cell(unsigned replay_threads) {
+  fleet_config cfg;
+  cfg.trace.scale = 0.004;
+  cfg.max_files_per_service = 40;
+  cfg.trace.max_file_bytes = 512 * KiB;
+  cfg.replay_threads = replay_threads;
+  std::vector<std::uint64_t> files, dropped, users, update_bytes, traffic,
+      commits, retained, live;
+  for (const fleet_service_report& r : replay_trace_fleet(cfg)) {
+    files.push_back(r.files);
+    dropped.push_back(r.dropped_files);
+    users.push_back(r.users);
+    update_bytes.push_back(r.update_bytes);
+    traffic.push_back(r.sync_traffic);
+    commits.push_back(r.commits);
+    retained.push_back(r.backend_retained_bytes);
+    live.push_back(r.backend_live_bytes);
+  }
+  return digest_line()
+      .list("files", files)
+      .list("dropped_files", dropped)
+      .list("users", users)
+      .list("update_bytes", update_bytes)
+      .list("service_traffic", traffic)
+      .list("commits", commits)
+      .list("backend_retained_bytes", retained)
+      .list("backend_live_bytes", live)
+      .str();
+}
+
+// --- sharded sync server -----------------------------------------------------
+
+/// test_sync_server's small_params(11) wave.
+std::string server_cell(std::uint32_t shards, unsigned threads) {
+  workload_params p;
+  p.seed = 11;
+  p.user_population = 200;
+  p.sessions = 40;
+  p.files_per_session = 5;
+  p.mean_file_bytes = 2048;
+  p.identity_pool = 16;
+  p.p_pool_identity = 0.5;
+  p.p_repeat_in_session = 0.2;
+  const std::vector<session_workload> work = make_session_workloads(p);
+  sync_server srv(server_config{.shards = shards});
+  parallel_runner pool(threads);
+  const std::vector<session_result> results =
+      parallel_map_n<session_result>(pool, work.size(), [&](std::size_t i) {
+        return run_session(srv, work[i]);
+      });
+
+  std::uint64_t files = 0, uploads = 0, dedup_hits = 0, update_bytes = 0,
+                traffic = 0;
+  for (const session_result& r : results) {
+    files += r.files;
+    uploads += r.files_uploaded;
+    dedup_hits += r.dedup_hits;
+    update_bytes += r.update_bytes;
+    traffic += r.meter.total();
+  }
+  return digest_line()
+      .hex("results_identity_hash", results_identity_hash(results))
+      .num("sessions", results.size())
+      .num("files", files)
+      .num("uploads", uploads)
+      .num("dedup_hits", dedup_hits)
+      .num("update_bytes", update_bytes)
+      .num("sync_traffic", traffic)
+      .str();
+}
+
+// --- protocol selection and the cache tier -----------------------------------
+
+/// test_sync_protocol's lab profile: small delta blocks and CDC dedup, so
+/// all three protocols are in play.
+std::string protocol_cell() {
+  service_profile lab = dropbox();
+  lab.name = "lab";
+  lab.delta_chunk_size = 4 * KiB;
+  lab.dedup = {dedup_granularity::content_defined, 4 * MiB,
+               /*cross_user=*/false, cdc_params{}};
+  experiment_config cfg{lab};
+  cfg.method = access_method::pc_client;
+  cfg.protocol.mode = protocol_mode::adaptive;
+  const protocol_run_result r = run_protocol_experiment(
+      cfg, protocol_workload::small_edits, 3, 32 * KiB);
+  return digest_line()
+      .num("commits", r.commits)
+      .num("update_bytes", r.data_update_bytes)
+      .list("meter_up_down_by_category", meter_cells(r.meter))
+      .list("picks", {r.selector.picks.begin(), r.selector.picks.end()})
+      .str();
+}
+
+/// A capped ARC write-back cache with a 5 s coalescing window.
+std::string cache_cell() {
+  experiment_config cfg{dropbox()};
+  cfg.method = access_method::pc_client;
+  cfg.cache_tier = true;
+  cfg.cache.capacity_bytes = 96 * KiB;
+  cfg.cache.block_bytes = 8 * KiB;
+  cfg.cache.policy = cache_eviction::arc;
+  cfg.cache.write_mode = cache_write_mode::write_back;
+  cfg.cache.coalesce_window = sim_time::from_sec(5.0);
+  const cache_run_result r =
+      run_cache_experiment(cfg, cache_workload::frequent_mods, 4, 32 * KiB);
+  const block_cache_stats& c = r.cache;
+  return digest_line()
+      .num("commits", r.commits)
+      .num("update_bytes", r.data_update_bytes)
+      .list("meter_up_down_by_category", meter_cells(r.meter))
+      .list("cache_hits_misses_evictions",
+            {c.hits, c.misses, c.insertions, c.evictions, c.eviction_stalls})
+      .list("cache_rehydrated_blocks_bytes",
+            {c.rehydrated_blocks, c.rehydrated_bytes})
+      .list("cache_dirty_marked_coalesced_flushes",
+            {c.dirty_marked, c.dirty_coalesced, c.flushes, c.plan_fallbacks})
+      .num("resident_bytes", r.resident_bytes)
+      .str();
+}
+
+// --- the cell table ----------------------------------------------------------
+
+struct cell {
+  const char* name;
+  std::function<std::string()> fields;
+
+  std::string line() const { return name + fields(); }
+};
+
+const std::vector<cell>& cells() {
+  static const std::vector<cell> table = {
+      {"stream_dropbox", [] { return stream_cell(dropbox(), false); }},
+      {"stream_google_drive",
+       [] { return stream_cell(google_drive(), false); }},
+      {"stream_dropbox_journal", [] { return stream_cell(dropbox(), true); }},
+      {"stream_sugarsync", [] { return stream_cell(sugarsync(), false); }},
+      {"fleet_threads1", [] { return fleet_cell(1); }},
+      {"fleet_threads4", [] { return fleet_cell(4); }},
+      {"server_shards1_threads1", [] { return server_cell(1, 1); }},
+      {"server_shards4_threads4", [] { return server_cell(4, 4); }},
+      {"protocol_adaptive_small_edits", protocol_cell},
+      {"cache_write_back_frequent_mods", cache_cell},
+  };
+  return table;
+}
+
+std::map<std::string, std::string> load_digests() {
+  std::map<std::string, std::string> lines;
+  std::ifstream in(CLOUDSYNC_GOLDEN_DIGESTS);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    lines[line.substr(0, line.find(' '))] = line;
+  }
+  return lines;
+}
+
+void expect_golden(const char* name) {
+  const auto it = std::find_if(cells().begin(), cells().end(),
+                               [&](const cell& c) {
+                                 return std::string_view(c.name) == name;
+                               });
+  ASSERT_NE(it, cells().end()) << "unknown cell " << name;
+  const std::string actual = it->line();
+  const std::map<std::string, std::string> golden = load_digests();
+  const auto want = golden.find(name);
+  ASSERT_NE(want, golden.end())
+      << "no line for " << name << " in " << CLOUDSYNC_GOLDEN_DIGESTS
+      << "\n  actual:   " << actual;
+  EXPECT_TRUE(want->second == actual)
+      << "digest mismatch for " << name << "\n  expected: " << want->second
+      << "\n  actual:   " << actual;
+}
+
+int record() {
+  std::ofstream file(CLOUDSYNC_GOLDEN_DIGESTS);
+  file << "# Golden digests: tests/test_golden_digests.cpp. Regenerate with\n"
+       << "# `test_golden_digests --record`; one line per cell.\n";
+  for (const cell& c : cells()) file << c.line() << '\n';
+  if (!file.flush()) {
+    std::fprintf(stderr, "cannot write %s\n", CLOUDSYNC_GOLDEN_DIGESTS);
+    return 1;
+  }
+  std::printf("recorded %zu cells to %s\n", cells().size(),
+              CLOUDSYNC_GOLDEN_DIGESTS);
+  return 0;
+}
+
+// The four streaming-sync worlds. Caches are off in every one of them.
+TEST(StreamSync, DeltaServiceMetersIdenticalTraffic) {
+  // Dropbox: IDS + compression + dedup.
+  expect_golden("stream_dropbox");
+}
+
+TEST(StreamSync, FullFileServiceMetersIdenticalTraffic) {
+  // Google Drive: no IDS, so every upload is priced by the rope sizer.
+  expect_golden("stream_google_drive");
+}
+
+TEST(StreamSync, ResumableSessionsMeterIdenticalTraffic) {
+  // Journaled: uploads ship through resumable sessions.
+  expect_golden("stream_dropbox_journal");
+}
+
+TEST(StreamSync, SugarSyncLargeDeltaBlocksIdentical) {
+  // 128 KiB delta blocks hit other tail and boundary cases than 10 KiB.
+  expect_golden("stream_sugarsync");
+}
+
+TEST(GoldenDigests, FleetReplayOneThread) { expect_golden("fleet_threads1"); }
+
+TEST(GoldenDigests, FleetReplayFourThreads) {
+  expect_golden("fleet_threads4");
+}
+
+TEST(GoldenDigests, ServerOneShardOneThread) {
+  expect_golden("server_shards1_threads1");
+}
+
+TEST(GoldenDigests, ServerFourShardsFourThreads) {
+  expect_golden("server_shards4_threads4");
+}
+
+TEST(GoldenDigests, AdaptiveProtocolSmallEdits) {
+  expect_golden("protocol_adaptive_small_edits");
+}
+
+TEST(GoldenDigests, WriteBackCacheFrequentMods) {
+  expect_golden("cache_write_back_frequent_mods");
+}
+
+}  // namespace
+}  // namespace cloudsync
+
+int main(int argc, char** argv) {
+  ::testing::InitGoogleTest(&argc, argv);
+  bool record = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]) == "--record") {
+      record = true;
+    } else {
+      std::fprintf(stderr, "usage: %s [--record] [gtest flags]\n", argv[0]);
+      return 2;
+    }
+  }
+  return record ? cloudsync::record() : RUN_ALL_TESTS();
+}

@@ -1,107 +1,140 @@
-// Streaming sync vs legacy whole-file planning: the two worlds must meter
-// byte-identical traffic in every category, converge to the same cloud
-// state, and the streaming world must never flatten whole files.
+// The streaming wire-size sizers against the flat reference. Planning prices
+// every upload with wire_payload_size_ref (over a rope) or
+// wire_payload_size_delta (over a delta's wire, never materialized); both
+// must return exactly wire_payload_size of the same bytes laid out flat.
+//
+// The sizes straddle the incompressibility probe's threshold (4 KiB), its
+// sample budget (16 KiB) and the content store's intern chunk (64 KiB), on
+// compressible and random bytes, at every compression level. Ropes are cut
+// at random points, so probe windows and sizer feeds straddle segments.
+// The metered traffic these sizers produce is pinned by the StreamSync cells
+// of test_golden_digests.
 #include <gtest/gtest.h>
 
-#include "core/experiment.hpp"
+#include <algorithm>
+#include <vector>
+
+#include "chunking/rsync.hpp"
+#include "client/sync_engine.hpp"
+#include "store/content_ref.hpp"
+#include "util/rng.hpp"
 
 namespace cloudsync {
 namespace {
 
-/// The same seeded workload replayed in one world: a mix of compressible,
-/// text, and incompressible files, then edits and appends — every planning
-/// path (full upload, delta, dedup probe) gets exercised.
-void run_workload(experiment_env& env) {
-  station& st = env.primary();
-  rng content(7);
-  st.fs.create("a.bin", make_compressed_file(content, 600 * 1024),
-               env.clock().now());
-  st.fs.create("b.txt", make_text_file(content, 200 * 1024),
-               env.clock().now());
-  st.fs.create("c.rand", random_bytes(content, 150 * 1024),
-               env.clock().now());
-  env.settle();
-  for (int i = 0; i < 3; ++i) {
-    env.clock().advance_to(env.clock().now() + sim_time::from_sec(60));
-    modify_random_byte(st.fs, "a.bin", env.random(), env.clock().now());
-    env.settle();
+constexpr int kMaxLevel = 9;
+
+const std::vector<std::size_t> kSizes = {
+    0,       1,        4095,     4096,     4097,      16383,
+    16384,   16385,    65535,    65536,    65537,     300 * 1024 + 17};
+
+byte_buffer make_bytes(rng& r, std::size_t n, bool compressible) {
+  return compressible ? random_text(r, n) : random_bytes(r, n);
+}
+
+/// `data` as a rope cut at random points (pieces of 1 B to ~70 KiB, each its
+/// own chunk), behind a random prefix that substr drops so that the first
+/// segment starts inside its chunk.
+content_ref split_rope(rng& r, byte_view data) {
+  const byte_buffer prefix = random_bytes(r, r.uniform(100));
+  content_ref::builder b;
+  b.append_bytes(prefix);
+  for (std::size_t off = 0; off < data.size();) {
+    const std::uint64_t cap = r.chance(0.3) ? 16 : r.chance(0.5) ? 5000 : 70000;
+    const std::size_t n = std::min<std::size_t>(data.size() - off,
+                                                1 + r.uniform(cap));
+    b.append_bytes(data.subspan(off, n));
+    off += n;
   }
-  env.clock().advance_to(env.clock().now() + sim_time::from_sec(60));
-  append_random(st.fs, "b.txt", env.random(), 32 * 1024, env.clock().now());
-  env.settle();
-  env.clock().advance_to(env.clock().now() + sim_time::from_sec(60));
-  modify_random_byte(st.fs, "c.rand", env.random(), env.clock().now());
-  env.settle();
+  return b.build().substr(prefix.size(), data.size());
 }
 
-struct world_result {
-  traffic_meter meter;
-  std::uint64_t commits = 0;
-  std::uint64_t a_hash = 0, b_hash = 0, c_hash = 0;
-};
-
-world_result run_world(service_profile profile, bool whole_file_planning,
-                       bool journal) {
-  experiment_config cfg{std::move(profile)};
-  cfg.method = access_method::pc_client;
-  // No process-wide caches: a value computed by one world must never be
-  // served to the other, or a divergence would be silently hidden.
-  cfg.use_content_cache = false;
-  cfg.whole_file_planning = whole_file_planning;
-  cfg.journal = journal;
-  experiment_env env(cfg);
-  run_workload(env);
-
-  world_result res;
-  res.meter = env.primary().client->meter();
-  res.commits = env.primary().client->commit_count();
-  res.a_hash = env.the_cloud().file_content(0, "a.bin")->hash64();
-  res.b_hash = env.the_cloud().file_content(0, "b.txt")->hash64();
-  res.c_hash = env.the_cloud().file_content(0, "c.rand")->hash64();
-  return res;
+/// The delta of `new_ref` against `old_ref`, built the way planning builds
+/// it: a signature of the old rope, the event stream, then literal ops that
+/// reference the new rope.
+file_delta rope_delta(const content_ref& old_ref, const content_ref& new_ref,
+                      std::size_t block_size, std::size_t window_bytes) {
+  const file_signature sig = compute_signature_ref(old_ref, block_size);
+  return delta_from_events(sig.block_size, new_ref,
+                           compute_delta_events(sig, new_ref, window_bytes));
 }
 
-void expect_identical_worlds(const world_result& legacy,
-                             const world_result& streaming) {
-  // The satellite self-check: per-category, per-direction equality — not
-  // just grand totals, which could mask compensating differences.
-  for (const direction dir : {direction::up, direction::down}) {
-    for (std::size_t c = 0;
-         c < static_cast<std::size_t>(traffic_category::kCount); ++c) {
-      const auto cat = static_cast<traffic_category>(c);
-      EXPECT_EQ(streaming.meter.get(dir, cat), legacy.meter.get(dir, cat))
-          << to_string(cat) << (dir == direction::up ? " up" : " down");
+void expect_delta_sizes_match(const file_delta& d, const char* what,
+                              std::size_t n) {
+  const byte_buffer wire = serialize_delta(d);
+  ASSERT_EQ(delta_wire_size(d), wire.size());
+  for (int level = 0; level <= kMaxLevel; ++level) {
+    EXPECT_EQ(wire_payload_size_delta(d, level),
+              wire_payload_size(wire, level))
+        << what << " size " << n << " wire " << wire.size() << " level "
+        << level;
+  }
+}
+
+TEST(StreamSizers, RopeSizerMatchesFlatReference) {
+  rng r(1);
+  for (const bool compressible : {true, false}) {
+    for (const std::size_t n : kSizes) {
+      const byte_buffer data = make_bytes(r, n, compressible);
+      const content_ref rope = split_rope(r, data);
+      ASSERT_TRUE(rope.equal(byte_view{data}));
+      const byte_buffer flat = rope.flatten();
+      for (int level = 0; level <= kMaxLevel; ++level) {
+        EXPECT_EQ(wire_payload_size_ref(rope, level),
+                  wire_payload_size(flat, level))
+            << (compressible ? "text" : "random") << " size " << n
+            << " segments " << rope.segment_count() << " level " << level;
+      }
     }
   }
-  EXPECT_EQ(streaming.commits, legacy.commits);
-  EXPECT_EQ(streaming.a_hash, legacy.a_hash);
-  EXPECT_EQ(streaming.b_hash, legacy.b_hash);
-  EXPECT_EQ(streaming.c_hash, legacy.c_hash);
 }
 
-TEST(StreamSync, DeltaServiceMetersIdenticalTraffic) {
-  // Dropbox: IDS + compression + dedup — the full streaming surface.
-  expect_identical_worlds(run_world(dropbox(), true, false),
-                          run_world(dropbox(), false, false));
+TEST(StreamSizers, DeltaSizerMatchesSerializedWireOfEditedRopes) {
+  rng r(2);
+  for (const bool compressible : {true, false}) {
+    for (const std::size_t n : kSizes) {
+      const byte_buffer base = make_bytes(r, n, compressible);
+      // Patch a range with fresh bytes, then append a fresh tail: the delta
+      // mixes copy runs, literal runs and a partial last block.
+      byte_buffer edited = base;
+      if (!edited.empty()) {
+        const std::size_t off = r.uniform(edited.size());
+        const byte_buffer patch = make_bytes(
+            r, std::min<std::size_t>(edited.size() - off, 1 + r.uniform(3000)),
+            compressible);
+        std::copy(patch.begin(), patch.end(), edited.begin() + off);
+      }
+      append(edited, make_bytes(r, r.uniform(2000), compressible));
+      const file_delta d =
+          rope_delta(split_rope(r, base), split_rope(r, edited), 1024,
+                     1 + r.uniform(64 * 1024));
+      expect_delta_sizes_match(d, compressible ? "text" : "random", n);
+    }
+  }
 }
 
-TEST(StreamSync, FullFileServiceMetersIdenticalTraffic) {
-  // Google Drive: no IDS, so this pins the wire_payload_size_ref path.
-  expect_identical_worlds(run_world(google_drive(), true, false),
-                          run_world(google_drive(), false, false));
-}
-
-TEST(StreamSync, ResumableSessionsMeterIdenticalTraffic) {
-  // Journaled world: uploads ship through resumable sessions; streaming
-  // delta literals must charge the identical resume/payload bytes.
-  expect_identical_worlds(run_world(dropbox(), true, true),
-                          run_world(dropbox(), false, true));
-}
-
-TEST(StreamSync, SugarSyncLargeDeltaBlocksIdentical) {
-  // 128 KiB delta blocks stress different tail/boundary cases than 10 KiB.
-  expect_identical_worlds(run_world(sugarsync(), true, false),
-                          run_world(sugarsync(), false, false));
+TEST(StreamSizers, DeltaSizerMatchesSerializedWireAtProbeThresholds) {
+  // All-literal deltas (against an empty old file) whose serialized wire is
+  // exactly each threshold size, so the probe and the sample budget switch
+  // on the wire length itself rather than on the file length.
+  rng r(3);
+  const content_ref empty;
+  for (const bool compressible : {true, false}) {
+    for (const std::size_t target : kSizes) {
+      if (target < 64) continue;  // below the delta's own framing
+      const byte_buffer data = make_bytes(r, target, compressible);
+      const content_ref rope = split_rope(r, data);
+      std::size_t n = target;
+      file_delta d = rope_delta(empty, rope.substr(0, n), 1024, 256 * 1024);
+      while (delta_wire_size(d) > target) {
+        n -= static_cast<std::size_t>(
+            std::max<std::uint64_t>(1, (delta_wire_size(d) - target) / 2));
+        d = rope_delta(empty, rope.substr(0, n), 1024, 256 * 1024);
+      }
+      ASSERT_EQ(delta_wire_size(d), target) << "literal " << n;
+      expect_delta_sizes_match(d, compressible ? "text" : "random", n);
+    }
+  }
 }
 
 }  // namespace

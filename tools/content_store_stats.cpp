@@ -1,14 +1,13 @@
 // content_store_stats: drive a small dedup-heavy sync scenario and dump the
 // process-wide content store — chunk count, refcount histogram, and bytes
-// shared vs. unique — in both store modes.
+// shared vs. unique.
 //
 // The point of the tool is observability: "is sharing actually happening?"
 // becomes a table instead of a heap profile. A duplicate file, a shadow
 // copy, and a retained version history should all show up as refcounts > 1
-// on the same chunks; flat mode shows the same workload with every layer
-// holding private copies.
+// on the same chunks.
 //
-// Usage: content_store_stats [--files N] [--size BYTES] [--flat]
+// Usage: content_store_stats [--files N] [--size BYTES]
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -70,18 +69,13 @@ int main(int argc, char** argv) {
       files = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
     } else if (std::strcmp(argv[i], "--size") == 0) {
       size = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
-    } else if (std::strcmp(argv[i], "--flat") == 0) {
-      content_store::global().set_mode(content_mode::flat);
     } else {
       std::fprintf(stderr,
-                   "usage: content_store_stats [--files N] [--size BYTES] "
-                   "[--flat]\n");
+                   "usage: content_store_stats [--files N] [--size BYTES]\n");
       return 2;
     }
   }
 
-  const bool flat = content_store::global().mode() == content_mode::flat;
-  std::printf("content store mode: %s\n", flat ? "flat" : "cow");
   std::printf("workload: %zu files x %s, half exact duplicates, one edit "
               "each\n",
               files, format_bytes(static_cast<double>(size)).c_str());
