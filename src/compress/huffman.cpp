@@ -260,6 +260,11 @@ byte_buffer huffman_decode(byte_view frame) {
     }
   }
   if (symbols.empty() && *size > 0) return fail("empty code table");
+  // Every symbol takes at least one bit, so a larger declared size cannot be
+  // honest; check before reserving it.
+  if (*size > 8 * static_cast<std::uint64_t>(frame.size() - pos)) {
+    return fail("declared size exceeds the frame");
+  }
 
   byte_buffer out;
   out.reserve(*size);

@@ -1,7 +1,9 @@
 #include "compress/lzss.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -17,19 +19,34 @@ constexpr std::uint8_t kMagic1 = 'z';
 constexpr std::uint8_t kFormatStored = 0;
 constexpr std::uint8_t kFormatLzss = 1;
 
-constexpr std::size_t kWindowSize = 64 * 1024;
-constexpr std::size_t kMinMatch = 4;
-constexpr std::size_t kMaxMatch = kMinMatch + 255;  // length fits one byte
+constexpr std::uint32_t kWindowSize = 64 * 1024;
+constexpr std::uint32_t kMinMatch = 4;
+constexpr std::uint32_t kMaxMatch = kMinMatch + 255;  // length fits one byte
 constexpr std::size_t kHashBits = 15;
 constexpr std::size_t kHashSize = 1u << kHashBits;
+/// Chain links are kept for the last kChainSlots positions, in slot
+/// `position % kChainSlots`. A link is only read for a position inside the
+/// window, and no insert has reached that slot's next owner yet.
+constexpr std::uint32_t kChainSlots = 128 * 1024;
+static_assert(kChainSlots > kWindowSize);
+/// Contiguous input a parse holds at once: the window, the lookahead and
+/// the bytes fed since the last slide. Smaller inputs need only their size.
+constexpr std::size_t kBufferBytes = 256 * 1024;
+/// Matching at a position reads up to kMaxMatch bytes ahead, and inserting
+/// the positions a match covers hashes three bytes past it. Until the input
+/// ends, a parse stops this far short of its last byte.
+constexpr std::uint32_t kLookahead = kMaxMatch + 3;
+/// A parse that would start above this position rebases the tables first,
+/// so positions stay below kRebaseAbove + 2 * kBufferBytes, far from 2^31.
+constexpr std::uint32_t kRebaseAbove = 4u << 20;
 
 struct level_config {
   std::size_t max_chain;  ///< How many previous positions to examine.
-  std::size_t nice_len;   ///< Stop searching once a match this long is found.
+  std::uint32_t nice_len; ///< Stop searching once a match this long is found.
   bool lazy;              ///< Defer one byte to look for a better match.
-  std::size_t accept_len; ///< Shortest match worth emitting (>= kMinMatch).
-                          ///< Low levels skip short matches entirely — the
-                          ///< "quite low" compression of mobile clients.
+  std::uint32_t accept_len; ///< Shortest match worth emitting (>= kMinMatch).
+                            ///< Low levels skip short matches entirely — the
+                            ///< "quite low" compression of mobile clients.
 };
 
 level_config config_for(int level) {
@@ -46,87 +63,254 @@ level_config config_for(int level) {
   }
 }
 
-inline std::uint32_t hash4(const std::uint8_t* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, 4);
-  return (v * 2654435761u) >> (32 - kHashBits);
+/// Level 0 and inputs too short to hold a match get a stored frame.
+bool stored_only(int level, std::uint64_t size) {
+  return level <= 0 || size < kMinMatch + 4;
 }
 
-/// Hash-chain match finder over the input. Chain links are 32-bit (inputs
-/// are bounded by the simulator's 2 GiB file cap, and in practice by the
-/// 2 MiB fleet clamp) and the head/prev arrays live in thread-local scratch
-/// reused across calls, so a compression call costs zero heap allocations
-/// after warm-up. `prev_` needs no clearing: chains are only entered through
-/// `head_`, and every reachable `prev_` slot was written by insert().
-class match_finder {
- public:
-  match_finder(byte_view input, const level_config& cfg)
-      : input_(input), cfg_(cfg), head_(scratch_head()),
-        prev_(scratch_prev(input.size())) {
-    head_.assign(kHashSize, kNone);
+inline std::uint32_t load32(const std::uint8_t* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, 4);
+  return v;
+}
+
+inline std::uint64_t load64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, 8);
+  return v;
+}
+
+inline std::uint32_t hash4(const std::uint8_t* p) {
+  return (load32(p) * 2654435761u) >> (32 - kHashBits);
+}
+
+/// Length of the common prefix of `a` and `b`, at most `max_len`. Compares
+/// eight bytes at a time and reads nothing past `max_len`.
+inline std::uint32_t common_prefix(const std::uint8_t* a,
+                                   const std::uint8_t* b,
+                                   std::uint32_t max_len) {
+  static_assert(std::endian::native == std::endian::little);
+  std::uint32_t len = 0;
+  for (; len + 8 <= max_len; len += 8) {
+    const std::uint64_t diff = load64(a + len) ^ load64(b + len);
+    if (diff != 0) {
+      return len + static_cast<std::uint32_t>(std::countr_zero(diff)) / 8;
+    }
+  }
+  while (len < max_len && a[len] == b[len]) ++len;
+  return len;
+}
+
+/// Hash heads and chain links over 32-bit positions. Every parse claims
+/// positions above all stored ones (`next`), so whatever earlier parses
+/// left lies below its floor and fails the window test: nothing is cleared
+/// between parses.
+struct match_tables {
+  std::uint32_t head[kHashSize] = {};
+  std::uint32_t prev[kChainSlots] = {};
+  std::uint32_t next = 1;  ///< above every stored position; 0 is never one
+
+  /// Moves every stored position down by the largest multiple of
+  /// kChainSlots below `keep` (zlib's slide_hash), so each link keeps its
+  /// slot. Positions that would fall below 1 become 0, which no parse
+  /// matches. Returns where `keep` is now.
+  std::uint32_t rebase(std::uint32_t keep) {
+    const std::uint32_t delta = (keep - 1) / kChainSlots * kChainSlots;
+    // Positions stay below 2^31, so the difference is exact as an int32_t,
+    // and this form vectorizes without SSE4.1.
+    const auto shift = [delta](std::uint32_t& p) {
+      const auto d = static_cast<std::int32_t>(p - delta);
+      p = d < 0 ? 0 : static_cast<std::uint32_t>(d);
+    };
+    for (std::uint32_t& p : head) shift(p);
+    for (std::uint32_t& p : prev) shift(p);
+    return keep - delta;
+  }
+};
+
+/// The calling thread's idle tables. A parse takes them and gives them back
+/// when it ends; one that starts while another parse on the same thread
+/// still holds them (two live stream sizers) gets fresh ones.
+std::unique_ptr<match_tables>& spare_tables() {
+  thread_local std::unique_ptr<match_tables> spare;
+  return spare;
+}
+
+struct lz_match {
+  std::uint32_t length = 0;
+  std::uint32_t distance = 0;
+};
+
+/// The lowest position a match at `pos` may reach: the window, cut off at
+/// `floor`.
+inline std::uint32_t window_start(std::uint32_t pos, std::uint32_t floor) {
+  return pos - floor > kWindowSize ? pos - kWindowSize : floor;
+}
+
+/// Hash-chain match finder over one stretch of contiguous input: the byte
+/// at position p is data[p - origin], and positions below `floor` belong to
+/// earlier parses or have left the window.
+struct match_finder {
+  match_tables* t;
+  level_config cfg;
+  const std::uint8_t* data;
+  std::uint32_t origin;  ///< position of the first byte still held
+  std::uint32_t floor;
+  std::uint32_t end;     ///< one past the last byte in data
+
+  const std::uint8_t* at(std::uint32_t pos) const {
+    return data + (pos - origin);
   }
 
-  struct match {
-    std::size_t length = 0;
-    std::size_t distance = 0;
-  };
-
-  /// Best match at `pos` against the preceding window.
-  match find(std::size_t pos) const {
-    match best;
-    if (pos + kMinMatch > input_.size()) return best;
-    const std::size_t limit =
-        pos >= kWindowSize ? pos - kWindowSize : 0;
-    const std::size_t max_len = std::min(kMaxMatch, input_.size() - pos);
-    std::uint32_t cand = head_[hash4(input_.data() + pos)];
-    std::size_t chain = cfg_.max_chain;
-    while (cand != kNone && cand >= limit && chain-- > 0 &&
-           best.length < max_len) {
-      // Quick reject: check the byte just past the current best.
-      if (best.length == 0 ||
-          input_[cand + best.length] == input_[pos + best.length]) {
-        std::size_t len = 0;
-        while (len < max_len && input_[cand + len] == input_[pos + len]) {
-          ++len;
-        }
+  /// Best match at `pos` against the preceding window: the first candidate
+  /// on the hash chain with the longest common prefix. Forced inline: as a
+  /// call from the parse loop's two sites it doubles the cost of small
+  /// inputs.
+  [[gnu::always_inline]] lz_match find(std::uint32_t pos) const {
+    lz_match best;
+    if (end - pos < kMinMatch) return best;
+    const std::uint32_t limit = window_start(pos, floor);
+    const std::uint32_t max_len = std::min(kMaxMatch, end - pos);
+    const std::uint8_t* const here = at(pos);
+    const std::uint32_t first4 = load32(here);
+    std::uint32_t cand = t->head[hash4(here)];
+    for (std::size_t chain = cfg.max_chain; cand >= limit && chain > 0;
+         --chain) {
+      // Quick reject. No match shorter than kMinMatch is ever emitted, and
+      // a longer one than `best` must also agree at offset best.length.
+      const std::uint8_t* const there = at(cand);
+      if (load32(there) == first4 && there[best.length] == here[best.length]) {
+        const std::uint32_t len =
+            kMinMatch + common_prefix(there + kMinMatch, here + kMinMatch,
+                                      max_len - kMinMatch);
         if (len > best.length) {
-          best.length = len;
-          best.distance = pos - cand;
-          if (len >= cfg_.nice_len) break;
+          best = {len, pos - cand};
+          if (len >= cfg.nice_len || len == max_len) break;
         }
       }
-      cand = prev_[cand];
+      cand = t->prev[cand % kChainSlots];
     }
-    if (best.length < cfg_.accept_len) best = {};
+    if (best.length < cfg.accept_len) best = {};
     return best;
   }
 
   /// Register position `pos` in the hash chains.
-  void insert(std::size_t pos) {
-    if (pos + 4 > input_.size()) return;
-    const std::uint32_t h = hash4(input_.data() + pos);
-    prev_[pos] = head_[h];
-    head_[h] = static_cast<std::uint32_t>(pos);
+  void insert(std::uint32_t pos) const {
+    if (end - pos < 4) return;
+    const std::uint32_t h = hash4(at(pos));
+    t->prev[pos % kChainSlots] = t->head[h];
+    t->head[h] = pos;
+  }
+};
+
+/// The one LZSS parse: greedy, or lazy one byte ahead, over an input of
+/// known size whose bytes may arrive in pieces. lzss_compress, the stream
+/// sizer and the probe all run it and differ only in the token sink
+/// (token_writer or token_counter) and in who holds the bytes.
+///
+/// The caller passes the input from offset() on. After a parse that did not
+/// reach the end, slide() says how many of those bytes no match can reach
+/// any more, and rebases the positions so that they stay bounded.
+class lz_parser {
+ public:
+  lz_parser(const level_config& cfg, std::uint64_t total)
+      : total_(total),
+        tables_(spare_tables() ? std::move(spare_tables())
+                               : std::make_unique<match_tables>()) {
+    if (tables_->next > kRebaseAbove) {
+      tables_->next = tables_->rebase(tables_->next);
+    }
+    pos_ = tables_->next;
+    m_ = {tables_.get(), cfg, nullptr, pos_, pos_, pos_};
+  }
+
+  ~lz_parser() {
+    tables_->next = m_.end;
+    if (!spare_tables()) spare_tables() = std::move(tables_);
+  }
+
+  lz_parser(const lz_parser&) = delete;
+  lz_parser& operator=(const lz_parser&) = delete;
+
+  /// Input offset of data[0] in parse().
+  std::uint64_t offset() const { return offset_; }
+
+  /// Parses on from the cursor as far as `data[0, n)` allows: to the end
+  /// when it holds the input's last byte, otherwise every position whose
+  /// lookahead it holds. `n` is at most kBufferBytes.
+  template <class Sink>
+  void parse(const std::uint8_t* data, std::size_t n, Sink& sink) {
+    m_.data = data;
+    m_.end = m_.origin + static_cast<std::uint32_t>(n);
+    // A local copy keeps the finder in registers: the writer's byte stores
+    // could alias members.
+    const match_finder m = m_;
+    const std::uint32_t stop = offset_ + n == total_
+                                   ? m.end
+                                   : m.end - std::min(m.end, kLookahead - 1);
+    std::uint32_t pos = pos_;
+    lz_match next;           // find(pos) of the last lazy probe, if it won
+    bool have_next = false;
+    while (pos < stop) {
+      const lz_match cur = have_next ? next : m.find(pos);
+      have_next = false;
+      m.insert(pos);
+      if (cur.length == 0) {
+        sink.literal(*m.at(pos));
+        ++pos;
+        continue;
+      }
+      if (m.cfg.lazy && pos + 1 < m.end) {
+        next = m.find(pos + 1);
+        if (next.length > cur.length + 1) {
+          // The deferred match is better: emit a literal and take `next`
+          // from pos + 1.
+          sink.literal(*m.at(pos));
+          ++pos;
+          have_next = true;
+          continue;
+        }
+      }
+      sink.match(cur.distance, cur.length);
+      // Register the covered positions so later matches can reference them.
+      for (std::uint32_t i = 1; i < cur.length; ++i) m.insert(pos + i);
+      pos += cur.length;
+    }
+    pos_ = pos;
+  }
+
+  /// Drops every byte below the window at the cursor and returns how many
+  /// that is, then moves all positions down by a multiple of kChainSlots.
+  std::size_t slide() {
+    const std::uint32_t keep = window_start(pos_, m_.floor);
+    const std::size_t drop = keep - m_.origin;
+    offset_ += drop;
+    m_.origin = m_.floor = tables_->rebase(keep);
+    pos_ -= keep - m_.origin;
+    m_.end -= keep - m_.origin;
+    return drop;
   }
 
  private:
-  static constexpr std::uint32_t kNone = 0xffffffffu;
-
-  static std::vector<std::uint32_t>& scratch_head() {
-    thread_local std::vector<std::uint32_t> head;
-    return head;
-  }
-  static std::vector<std::uint32_t>& scratch_prev(std::size_t n) {
-    thread_local std::vector<std::uint32_t> prev;
-    if (prev.size() < n) prev.resize(n);
-    return prev;
-  }
-
-  byte_view input_;
-  const level_config& cfg_;
-  std::vector<std::uint32_t>& head_;
-  std::vector<std::uint32_t>& prev_;
+  const std::uint64_t total_;
+  std::unique_ptr<match_tables> tables_;
+  match_finder m_;            ///< data and end as of the last parse
+  std::uint64_t offset_ = 0;  ///< input offset of the byte at m_.origin
+  std::uint32_t pos_;         ///< next position to parse
 };
+
+/// Parses all of `input`, sliding every kBufferBytes like the stream sizer.
+template <class Sink>
+void parse_all(byte_view input, const level_config& cfg, Sink& sink) {
+  lz_parser parser(cfg, input.size());
+  for (;;) {
+    const std::size_t n =
+        std::min<std::size_t>(input.size() - parser.offset(), kBufferBytes);
+    parser.parse(input.data() + parser.offset(), n, sink);
+    if (parser.offset() + n == input.size()) return;
+    parser.slide();
+  }
+}
 
 /// Token emitter with one flag byte per 8 tokens (bit set = match).
 class token_writer {
@@ -138,7 +322,7 @@ class token_writer {
     out_.push_back(b);
   }
 
-  void match(std::size_t distance, std::size_t length) {
+  void match(std::uint32_t distance, std::uint32_t length) {
     begin_token(true);
     out_.push_back(static_cast<std::uint8_t>(distance - 1));
     out_.push_back(static_cast<std::uint8_t>((distance - 1) >> 8));
@@ -161,6 +345,47 @@ class token_writer {
   unsigned bit_ = 8;
 };
 
+/// Counts the tokens token_writer would write; frame_size() turns the
+/// counts into bytes.
+struct token_counter {
+  std::uint64_t literals = 0;
+  std::uint64_t matches = 0;
+
+  void literal(std::uint8_t) { ++literals; }
+  void match(std::uint32_t, std::uint32_t) { ++matches; }
+};
+
+/// Magic, format byte and the varint input size.
+std::uint64_t header_size(std::uint64_t size) {
+  std::uint64_t varint = 1;
+  while (size >= 0x80) {
+    size >>= 7;
+    ++varint;
+  }
+  return 3 + varint;
+}
+
+std::uint64_t stored_frame_size(std::uint64_t size) {
+  return header_size(size) + size + 4;
+}
+
+/// The size of the frame lzss_compress returns for `size` input bytes that
+/// parse into `tokens`, stored-frame fallback included.
+std::uint64_t frame_size(std::uint64_t size, const token_counter& tokens) {
+  const std::uint64_t token_count = tokens.literals + tokens.matches;
+  const std::uint64_t lzss = header_size(size) + (token_count + 7) / 8 +
+                             tokens.literals + 3 * tokens.matches + 4;
+  return lzss >= size + 7 + 4 ? stored_frame_size(size) : lzss;
+}
+
+/// lzss_compress(input, {level}).size(), counted rather than written.
+std::uint64_t counted_frame_size(byte_view input, int level) {
+  if (stored_only(level, input.size())) return stored_frame_size(input.size());
+  token_counter tokens;
+  parse_all(input, config_for(level), tokens);
+  return frame_size(input.size(), tokens);
+}
+
 byte_buffer make_stored_frame(byte_view input) {
   byte_buffer out;
   out.reserve(input.size() + 16);
@@ -179,11 +404,9 @@ byte_buffer make_stored_frame(byte_view input) {
 }  // namespace
 
 byte_buffer lzss_compress(byte_view input, lzss_params params) {
-  if (params.level <= 0 || input.size() < kMinMatch + 4) {
+  if (stored_only(params.level, input.size())) {
     return make_stored_frame(input);
   }
-  const level_config cfg = config_for(params.level);
-
   byte_buffer out;
   out.reserve(input.size() / 2 + 32);
   out.push_back(kMagic0);
@@ -191,36 +414,8 @@ byte_buffer lzss_compress(byte_view input, lzss_params params) {
   out.push_back(kFormatLzss);
   put_varint(out, input.size());
 
-  match_finder finder(input, cfg);
   token_writer writer(out);
-
-  std::size_t pos = 0;
-  while (pos < input.size()) {
-    match_finder::match cur = finder.find(pos);
-    if (cur.length >= kMinMatch) {
-      if (cfg.lazy && pos + 1 < input.size()) {
-        finder.insert(pos);
-        const match_finder::match next = finder.find(pos + 1);
-        if (next.length > cur.length + 1) {
-          // The deferred match is better: emit a literal and continue from
-          // pos+1 where the loop will rediscover `next`.
-          writer.literal(input[pos]);
-          ++pos;
-          continue;
-        }
-      } else {
-        finder.insert(pos);
-      }
-      writer.match(cur.distance, cur.length);
-      // Register the covered positions so later matches can reference them.
-      for (std::size_t i = 1; i < cur.length; ++i) finder.insert(pos + i);
-      pos += cur.length;
-    } else {
-      finder.insert(pos);
-      writer.literal(input[pos]);
-      ++pos;
-    }
-  }
+  parse_all(input, config_for(params.level), writer);
 
   const std::uint32_t crc = crc32(input);
   for (int i = 0; i < 4; ++i) {
@@ -249,6 +444,11 @@ byte_buffer lzss_decompress(byte_view frame) {
   if (!orig_size) return fail("truncated header");
   if (frame.size() < pos + 4) return fail("truncated frame");
   const std::size_t body_end = frame.size() - 4;
+  // No body byte decodes to more than kMaxMatch bytes, so a larger declared
+  // size cannot be honest; check before reserving it.
+  if (*orig_size > kMaxMatch * static_cast<std::uint64_t>(body_end - pos)) {
+    return fail("declared size exceeds the frame");
+  }
 
   byte_buffer out;
   out.reserve(*orig_size);
@@ -320,9 +520,8 @@ std::vector<sample_window> compression_sample_windows(
 double estimate_ratio_of_windows(const std::vector<byte_view>& windows) {
   std::size_t total_in = 0, total_out = 0;
   for (const byte_view chunk : windows) {
-    const byte_buffer c = lzss_compress(chunk, {.level = 5});
     total_in += chunk.size();
-    total_out += c.size();
+    total_out += counted_frame_size(chunk, 5);
   }
   if (total_in == 0) return 1.0;
   return static_cast<double>(total_in) /
@@ -339,143 +538,50 @@ double estimate_compression_ratio(byte_view input, std::size_t sample_budget) {
   return estimate_ratio_of_windows(views);
 }
 
-namespace {
-/// History ring of the stream sizer. Must be a power of two and exceed
-/// kWindowSize + kMaxMatch by enough staging room that chain entries are
-/// always recycled strictly outside the match window (see insert/find).
-constexpr std::size_t kSizerRingBytes = 128 * 1024;
-constexpr std::uint64_t kSizerRingMask = kSizerRingBytes - 1;
-/// Feed bytes are staged into the ring at most this many at a time, so the
-/// live span (64 KiB history + lookahead + staging) always fits the ring.
-constexpr std::size_t kSizerStageBytes = 32 * 1024;
-constexpr std::uint64_t kNoPos = ~0ULL;
+/// What a sizer with a token stream holds while it is being fed.
+struct lzss_stream_sizer::state {
+  state(const level_config& cfg, std::uint64_t total)
+      : parser(cfg, total),
+        capacity(static_cast<std::size_t>(
+            std::min<std::uint64_t>(total, kBufferBytes))) {
+    buffer.reserve(capacity);
+  }
 
-std::uint64_t stored_frame_size(std::uint64_t size) {
-  byte_buffer varint;
-  put_varint(varint, size);
-  return 2 + 1 + varint.size() + size + 4;
-}
-}  // namespace
+  lz_parser parser;
+  token_counter tokens;
+  byte_buffer buffer;  ///< the input from parser.offset() on
+  std::size_t capacity;
+};
 
 lzss_stream_sizer::lzss_stream_sizer(std::uint64_t total_size,
                                      lzss_params params)
-    : total_(total_size),
-      stored_only_(params.level <= 0 || total_size < kMinMatch + 4) {
-  if (stored_only_) return;
-  const level_config cfg = config_for(params.level);
-  max_chain_ = cfg.max_chain;
-  nice_len_ = cfg.nice_len;
-  accept_len_ = cfg.accept_len;
-  lazy_ = cfg.lazy;
-  ring_.resize(kSizerRingBytes);
-  head_.assign(kHashSize, kNoPos);
-  prev_.resize(kSizerRingBytes);
-  out_ = stored_frame_size(total_) - total_ - 4;  // shared frame header
-}
-
-std::uint8_t lzss_stream_sizer::at(std::uint64_t pos) const {
-  return ring_[pos & kSizerRingMask];
-}
-
-std::uint32_t lzss_stream_sizer::hash_at(std::uint64_t pos) const {
-  // hash4 reads a little-endian uint32; assemble it explicitly because the
-  // four bytes may wrap around the ring.
-  const std::uint32_t v = static_cast<std::uint32_t>(at(pos)) |
-                          static_cast<std::uint32_t>(at(pos + 1)) << 8 |
-                          static_cast<std::uint32_t>(at(pos + 2)) << 16 |
-                          static_cast<std::uint32_t>(at(pos + 3)) << 24;
-  return (v * 2654435761u) >> (32 - kHashBits);
-}
-
-lzss_stream_sizer::match lzss_stream_sizer::find(std::uint64_t pos) const {
-  match best;
-  if (pos + kMinMatch > total_) return best;
-  const std::uint64_t limit = pos >= kWindowSize ? pos - kWindowSize : 0;
-  const std::size_t max_len =
-      static_cast<std::size_t>(std::min<std::uint64_t>(kMaxMatch,
-                                                       total_ - pos));
-  std::uint64_t cand = head_[hash_at(pos)];
-  std::size_t chain = max_chain_;
-  while (cand != kNoPos && cand >= limit && chain-- > 0 &&
-         best.length < max_len) {
-    if (best.length == 0 || at(cand + best.length) == at(pos + best.length)) {
-      std::size_t len = 0;
-      while (len < max_len && at(cand + len) == at(pos + len)) {
-        ++len;
-      }
-      if (len > best.length) {
-        best.length = len;
-        best.distance = static_cast<std::size_t>(pos - cand);
-        if (len >= nice_len_) break;
-      }
-    }
-    cand = prev_[cand & kSizerRingMask];
-  }
-  if (best.length < accept_len_) best = {};
-  return best;
-}
-
-void lzss_stream_sizer::insert(std::uint64_t pos) {
-  if (pos + 4 > total_) return;
-  const std::uint32_t h = hash_at(pos);
-  prev_[pos & kSizerRingMask] = head_[h];
-  head_[h] = pos;
-}
-
-void lzss_stream_sizer::count_token(bool is_match) {
-  if (bit_ == 8) {
-    ++out_;  // flag byte
-    bit_ = 0;
-  }
-  ++bit_;
-  out_ += is_match ? 3 : 1;
-}
-
-void lzss_stream_sizer::drain(bool final_window) {
-  // Matching at `pos` may read ahead up to kMaxMatch bytes (the lazy probe
-  // one further) and inserting covered positions hashes up to three bytes
-  // past the match, so hold positions back until that whole horizon is fed;
-  // the remainder resolves at finish(), where the true end-of-input match
-  // limits apply.
-  while (pos_ < total_) {
-    if (!final_window && pos_ + kMaxMatch + 3 > fed_) return;
-    match cur = find(pos_);
-    if (cur.length >= kMinMatch) {
-      if (lazy_ && pos_ + 1 < total_) {
-        insert(pos_);
-        const match next = find(pos_ + 1);
-        if (next.length > cur.length + 1) {
-          count_token(false);
-          ++pos_;
-          continue;
-        }
-      } else {
-        insert(pos_);
-      }
-      count_token(true);
-      for (std::size_t i = 1; i < cur.length; ++i) insert(pos_ + i);
-      pos_ += cur.length;
-    } else {
-      insert(pos_);
-      count_token(false);
-      ++pos_;
-    }
+    : total_(total_size) {
+  if (!stored_only(params.level, total_size)) {
+    state_ = std::make_unique<state>(config_for(params.level), total_size);
   }
 }
+
+lzss_stream_sizer::~lzss_stream_sizer() = default;
 
 void lzss_stream_sizer::feed(byte_view window) {
-  if (stored_only_) {
-    fed_ += window.size();
-    return;
+  if (finished_) throw std::logic_error("lzss_stream_sizer: already finished");
+  if (window.size() > total_ - fed_) {
+    throw std::logic_error("lzss_stream_sizer: fed past the declared size");
   }
+  fed_ += window.size();
+  if (!state_) return;
+  state& s = *state_;
   while (!window.empty()) {
-    const std::size_t take = std::min(window.size(), kSizerStageBytes);
-    for (std::size_t i = 0; i < take; ++i) {
-      ring_[(fed_ + i) & kSizerRingMask] = window[i];
+    if (s.buffer.size() == s.capacity) {
+      const std::size_t drop = s.parser.slide();
+      s.buffer.erase(s.buffer.begin(),
+                     s.buffer.begin() + static_cast<std::ptrdiff_t>(drop));
     }
-    fed_ += take;
+    const std::size_t take =
+        std::min(window.size(), s.capacity - s.buffer.size());
+    append(s.buffer, window.first(take));
     window = window.subspan(take);
-    drain(/*final_window=*/false);
+    s.parser.parse(s.buffer.data(), s.buffer.size(), s.tokens);
   }
 }
 
@@ -485,13 +591,11 @@ std::uint64_t lzss_stream_sizer::finish() {
   }
   if (finished_) throw std::logic_error("lzss_stream_sizer: already finished");
   finished_ = true;
-  if (stored_only_) return stored_frame_size(total_);
-  drain(/*final_window=*/true);
-  out_ += 4;  // CRC-32 trailer
-  // Expansion fallback: the consumer gets min(original, compressed), so the
-  // priced frame is the stored one whenever the token stream expanded.
-  if (out_ >= total_ + 7 + 4) return stored_frame_size(total_);
-  return out_;
+  if (!state_) return stored_frame_size(total_);
+  // The feed that brought the last byte parsed to the end.
+  const std::uint64_t size = frame_size(total_, state_->tokens);
+  state_.reset();  // hands the tables back to this thread
+  return size;
 }
 
 }  // namespace cloudsync

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "util/bytes.hpp"
@@ -46,53 +47,39 @@ struct sample_window {
 std::vector<sample_window> compression_sample_windows(
     std::size_t size, std::size_t sample_budget);
 
-/// Shared probe core: ratio sum(in) / max(1, sum(out)) over level-5
-/// compressions of the sampled windows. estimate_compression_ratio ==
-/// estimate_ratio_of_windows over compression_sample_windows' views.
+/// Shared probe core: ratio sum(in) / max(1, sum(out)) over the level-5
+/// frame sizes of the sampled windows, counted rather than written.
+/// estimate_compression_ratio == estimate_ratio_of_windows over
+/// compression_sample_windows' views.
 double estimate_ratio_of_windows(const std::vector<byte_view>& windows);
 
 /// Exact streamed frame sizing: feed the input in windows of any size and
 /// finish() returns precisely lzss_compress(concatenation, params).size() —
-/// including the stored-frame fallback — while holding O(1) state (a 128 KiB
-/// history ring plus hash chains, ~1.4 MB) instead of the input. This is how
-/// multi-GB upload payloads are priced without ever being flat in memory.
+/// including the stored-frame fallback — without holding the input. It runs
+/// lzss_compress's own parse with a byte counter in place of the writer, over
+/// a buffer of min(total, 256 KiB): the 64 KiB match window, the lookahead
+/// and the bytes fed since the last slide. The hash chains are the calling
+/// thread's, which the sizer borrows until finish(). This is how multi-GB
+/// upload payloads are priced without ever being flat in memory.
 class lzss_stream_sizer {
  public:
   /// The total input size must be known up front (frame headers and
   /// end-of-input match limits depend on it).
   explicit lzss_stream_sizer(std::uint64_t total_size, lzss_params params = {});
+  ~lzss_stream_sizer();
 
+  /// Throws std::logic_error past total_size bytes or after finish().
   void feed(byte_view window);
-  /// Throws std::logic_error unless exactly total_size bytes were fed.
+  /// Throws std::logic_error unless exactly total_size bytes were fed, or
+  /// when called twice.
   std::uint64_t finish();
 
  private:
-  struct match {
-    std::size_t length = 0;
-    std::size_t distance = 0;
-  };
-
-  std::uint8_t at(std::uint64_t pos) const;
-  std::uint32_t hash_at(std::uint64_t pos) const;
-  match find(std::uint64_t pos) const;
-  void insert(std::uint64_t pos);
-  void drain(bool final_window);
-  void count_token(bool is_match);
+  struct state;
 
   std::uint64_t total_;
-  bool stored_only_;       ///< level <= 0 or input too short: pure stored frame
-  std::size_t max_chain_ = 0;
-  std::size_t nice_len_ = 0;
-  std::size_t accept_len_ = 0;
-  bool lazy_ = false;
-
-  byte_buffer ring_;                 ///< history ring, kSizerRingBytes
-  std::vector<std::uint64_t> head_;  ///< hash -> most recent absolute pos
-  std::vector<std::uint64_t> prev_;  ///< chain links, ring-indexed
-  std::uint64_t fed_ = 0;            ///< absolute write position
-  std::uint64_t pos_ = 0;            ///< absolute scan position
-  std::uint64_t out_ = 0;            ///< counted frame bytes so far
-  unsigned bit_ = 8;                 ///< token slot within the open flag byte
+  std::uint64_t fed_ = 0;
+  std::unique_ptr<state> state_;  ///< null for a stored frame, and once done
   bool finished_ = false;
 };
 

@@ -24,11 +24,14 @@
 #include <string_view>
 #include <vector>
 
+#include "compress/lzss.hpp"
 #include "core/experiment.hpp"
 #include "core/fleet.hpp"
 #include "core/parallel_runner.hpp"
 #include "server/session.hpp"
 #include "server/sync_server.hpp"
+#include "util/crc32.hpp"
+#include "util/rng.hpp"
 
 namespace cloudsync {
 namespace {
@@ -255,6 +258,48 @@ std::string cache_cell() {
       .str();
 }
 
+// --- LZSS frames -------------------------------------------------------------
+
+/// Every lzss_compress frame of a seeded corpus at levels 0-9, reduced to
+/// their count, total size and CRC-32: this pins the writer's bytes, where
+/// the meter cells above only see frame sizes. The corpus holds the stored
+/// thresholds, noise (stored fallback), runs, text inside one 64 KiB window
+/// and across a 256 KiB stretch, a period at the window edge, and synthetic
+/// payload.
+std::string lzss_cell() {
+  rng r(17);
+  std::vector<byte_buffer> corpus = {
+      random_bytes(r, 7),
+      random_text(r, 8),
+      random_text(r, 4096),
+      random_bytes(r, 9000),
+      byte_buffer(5000, std::uint8_t{'x'}),
+      random_text(r, 70'000),
+      random_text(r, 300'001),
+      synthetic_payload(r, 100'000, 1.8),
+  };
+  const byte_buffer unit = random_text(r, 65'537);
+  byte_buffer periodic;
+  while (periodic.size() < 140'000) append(periodic, unit);
+  corpus.push_back(std::move(periodic));
+
+  std::uint64_t frames = 0, bytes = 0;
+  std::uint32_t crc = 0;
+  for (int level = 0; level <= 9; ++level) {
+    for (const byte_buffer& input : corpus) {
+      const byte_buffer frame = lzss_compress(input, {.level = level});
+      ++frames;
+      bytes += frame.size();
+      crc = crc32(frame, crc);
+    }
+  }
+  return digest_line()
+      .num("frames", frames)
+      .num("bytes", bytes)
+      .hex("crc32", crc)
+      .str();
+}
+
 // --- the cell table ----------------------------------------------------------
 
 struct cell {
@@ -277,6 +322,7 @@ const std::vector<cell>& cells() {
       {"server_shards4_threads4", [] { return server_cell(4, 4); }},
       {"protocol_adaptive_small_edits", protocol_cell},
       {"cache_write_back_frequent_mods", cache_cell},
+      {"lzss_frames", lzss_cell},
   };
   return table;
 }
@@ -365,6 +411,8 @@ TEST(GoldenDigests, AdaptiveProtocolSmallEdits) {
 TEST(GoldenDigests, WriteBackCacheFrequentMods) {
   expect_golden("cache_write_back_frequent_mods");
 }
+
+TEST(GoldenDigests, LzssFrames) { expect_golden("lzss_frames"); }
 
 }  // namespace
 }  // namespace cloudsync

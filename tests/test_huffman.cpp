@@ -3,6 +3,7 @@
 
 #include "compress/compressor.hpp"
 #include "compress/huffman.hpp"
+#include "compress/varint.hpp"
 #include "util/rng.hpp"
 
 namespace cloudsync {
@@ -81,6 +82,16 @@ TEST(Huffman, CorruptionDetected) {
   EXPECT_THROW(huffman_decode(frame), std::runtime_error);
   EXPECT_THROW(huffman_decode(to_buffer("garbage")), std::runtime_error);
   EXPECT_THROW(huffman_decode({}), std::runtime_error);
+}
+
+TEST(Huffman, OversizedHeaderThrows) {
+  // A frame that claims 1 TiB behind a one-symbol code table and no bit
+  // stream must fail as malformed, not by trying to reserve the memory.
+  byte_buffer frame = {'h', 'f', 1};
+  put_varint(frame, std::uint64_t{1} << 40);
+  frame.push_back(0x10);  // symbol 0 has a 1-bit code
+  frame.insert(frame.end(), 127, 0);
+  EXPECT_THROW(huffman_decode(frame), std::runtime_error);
 }
 
 TEST(ByteEntropy, KnownValues) {
