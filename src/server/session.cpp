@@ -36,6 +36,8 @@ constexpr std::uint64_t kUniqueDomain = 0x517cc1b727220002ULL;
 constexpr std::uint64_t kUserStreamDomain = 0xd1b54a32d1920003ULL;
 constexpr std::uint64_t kSizeDomain = 0x2545f4914f6c0004ULL;
 constexpr std::uint64_t kIdentitySalt = 0x1de47f1e5ALL;
+constexpr std::size_t kIdentityMemoEntries = 64 * 1024;  ///< over all stripes
+constexpr unsigned kIdentityStripeBits = 4;
 
 using steady = std::chrono::steady_clock;
 
@@ -54,22 +56,28 @@ std::uint32_t size_for_seed(std::uint64_t seed, std::uint32_t mean_bytes) {
 }
 
 content_identity identity_for(std::uint64_t seed, std::uint32_t size) {
-  // One lazy rope + one SHA-256 per identity, shared by every session that
+  // One generation + one SHA-256 per identity, shared by every session that
   // draws it (the pooled identities are drawn thousands of times per wave).
-  static content_memo<content_identity> memo(64 * 1024);
-  return memo.get_or_compute_keyed(mix64(seed), size, kIdentitySalt, [&] {
-    rng r(seed);
-    byte_buffer bytes = random_bytes(r, size);
-    content_identity id;
-    id.fp = sha256(bytes);
-    // Hold the identity as a lazy ref so a million-user grid's
-    // unmaterialized identities cost no bytes until the wire needs them.
-    id.content = content_ref::lazy(size, [seed, size] {
-      rng rr(seed);
-      return random_bytes(rr, size);
-    });
-    return id;
-  });
+  // The memo is split into stripes picked by the key's high bits, so client
+  // threads resolving different identities rarely meet on one mutex; each
+  // stripe is an exact LRU over its share of the capacity.
+  struct memo_stripe {
+    content_memo<content_identity> memo{kIdentityMemoEntries >>
+                                        kIdentityStripeBits};
+  };
+  static memo_stripe stripes[std::size_t{1} << kIdentityStripeBits];
+  const std::uint64_t key = mix64(seed);
+  return stripes[key >> (64 - kIdentityStripeBits)].memo.get_or_compute_keyed(
+      key, size, kIdentitySalt, [&] {
+        rng r(seed);
+        byte_buffer bytes = random_bytes(r, size);
+        content_identity id;
+        // Fingerprint the bytes the identity keeps, so upload verification
+        // hashes bytes already in memory.
+        id.fp = sha256(bytes);
+        id.content = content_ref::adopt(std::move(bytes));
+        return id;
+      });
 }
 
 std::vector<session_workload> make_session_workloads(const workload_params& p) {
@@ -154,12 +162,15 @@ session_result run_session(sync_server& server, const session_workload& work,
 
   // Client-local: resolve content identities and build the diff request.
   std::vector<content_identity> ids;
+  std::vector<std::string> keys;
   ids.reserve(work.files.size());
+  keys.reserve(work.files.size());
   diff_request req;
   req.user = work.user;
   req.entries.reserve(work.files.size());
   for (const session_file& f : work.files) {
     ids.push_back(identity_for(f.content_seed, f.size));
+    keys.push_back(object_key_for(work.user, ids.back().fp));
     req.entries.push_back({f.path, ids.back().fp, f.size});
     res.update_bytes += f.size;
   }
@@ -197,7 +208,7 @@ session_result run_session(sync_server& server, const session_workload& work,
         const session_file& f = work.files[idx];
         upload_item item;
         item.path = f.path;
-        item.object_key = object_key_for(work.user, ids[idx].fp);
+        item.object_key = keys[idx];
         item.content = ids[idx].content;
         item.fp = ids[idx].fp;
         payload += f.size;
@@ -228,7 +239,7 @@ session_result run_session(sync_server& server, const session_workload& work,
     for (std::size_t i = 0; i < work.files.size(); ++i) {
       sync_server::commit_entry e;
       e.path = work.files[i].path;
-      e.object_key = object_key_for(work.user, ids[i].fp);
+      e.object_key = std::move(keys[i]);
       e.fp = ids[i].fp;
       e.logical_size = work.files[i].size;
       e.stored_size = uploaded[i] ? work.files[i].size : 0;

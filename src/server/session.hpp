@@ -53,8 +53,8 @@ inline constexpr std::uint64_t kManifestEntryBytes = 52;  ///< path hash + fp + 
 inline constexpr std::uint64_t kAckBytes = 24;            ///< commit / upload acknowledgement
 
 /// One file of a session's pending change set. Content is identified by a
-/// generator seed; bytes are materialized lazily (CoW store) only when the
-/// wire or the server's verifier actually needs them.
+/// generator seed; its bytes are generated when the session first resolves
+/// the identity (identity_for).
 struct session_file {
   std::string path;
   std::uint64_t content_seed = 0;
@@ -86,15 +86,15 @@ struct diff_response {
 /// One payload unit of the transferring phase.
 struct upload_item {
   std::string path;
-  std::string object_key;
+  std::string object_key;  ///< chunk-store key (whole objects: user + fp)
   content_ref content;
   fingerprint fp;
 };
 
 /// Resolved content identity: the bytes behind a (seed, size) pair, plus the
-/// fingerprint the dedup index sees. Memoized process-wide so the thousands
-/// of sessions sharing a pooled identity share one lazy rope and one SHA-256
-/// computation.
+/// fingerprint the dedup index sees, taken over those very bytes. Memoized
+/// process-wide so the thousands of sessions sharing a pooled identity share
+/// one generated chunk and one SHA-256 computation.
 struct content_identity {
   content_ref content;
   fingerprint fp;

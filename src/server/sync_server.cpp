@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <stdexcept>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "storage/chunk_backend.hpp"
@@ -20,6 +21,19 @@ std::uint64_t ns_between(steady::time_point a, steady::time_point b) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
 }
+
+/// A whole object's identity: content-addressed per user, so (user,
+/// fingerprint prefix) names it without formatting a key string.
+struct object_id {
+  std::uint32_t user = 0;
+  std::uint64_t prefix = 0;
+  bool operator==(const object_id&) const = default;
+};
+struct object_id_hash {
+  std::size_t operator()(const object_id& k) const noexcept {
+    return static_cast<std::size_t>(mix64(k.prefix ^ mix64(k.user)));
+  }
+};
 }  // namespace
 
 // One stripe of the server. The mutex covers everything below it except the
@@ -38,6 +52,10 @@ struct sync_server::shard {
   std::condition_variable cv;  ///< admission queue wakeups
 
   metadata_service meta;
+  /// Whole-object mode: the stored objects and their total bytes.
+  std::unordered_map<object_id, content_ref, object_id_hash> objects;
+  std::uint64_t object_bytes = 0;
+  /// Chunk-store mode: the chunk backend and the object store under it.
   object_store store;
   std::unique_ptr<chunk_backend> chunks;  ///< non-null in chunk-store mode
   std::unordered_set<std::uint32_t> users;
@@ -195,34 +213,38 @@ void sync_server::upload_batch(std::uint32_t user,
   shard& s = shard_for(user);
   auto l = s.lock();
   const auto t0 = steady::now();
-  for (const upload_item& item : items) {
-    if (cfg_.verify_uploads) {
-      // Verify-on-ingest: hash the payload under the stripe lock. This is
-      // the serialized CPU work that a single shard bottlenecks on and N
-      // shards spread — and it keeps fabricated fingerprints out of the
-      // dedup index.
+  if (cfg_.verify_uploads) {
+    // Verify-on-ingest: hash every payload under the stripe lock before any
+    // is stored, so a batch with one lying item stores nothing. The hash is
+    // the serialized CPU work that a single shard bottlenecks on and N
+    // shards spread — and it keeps fabricated fingerprints out of the dedup
+    // index.
+    for (const upload_item& item : items) {
       sha256_hasher h;
       item.content.walk([&h](byte_view v) { h.update(v); });
-      const fingerprint got = h.finish();
-      if (got != item.fp) {
+      if (h.finish() != item.fp) {
         ++s.verify_failures;
         s.busy_ns += ns_between(t0, steady::now());
         throw std::runtime_error("upload_batch: fingerprint mismatch for " +
                                  item.object_key);
       }
-      s.verified_bytes += item.content.size();
     }
+  }
+  for (const upload_item& item : items) {
+    const std::uint64_t size = item.content.size();
     if (s.chunks != nullptr) {
       // Content-addressed keys are PUT at most once per scope; guard anyway
       // so a re-upload after scope eviction can't leak extent refs.
       if (s.chunks->find(item.object_key) == nullptr) {
         s.chunks->put_full(item.object_key, item.content);
       }
-    } else {
-      s.store.put(item.object_key, item.content);
+    } else if (s.objects.try_emplace({user, item.fp.prefix64()}, item.content)
+                   .second) {
+      s.object_bytes += size;
     }
+    if (cfg_.verify_uploads) s.verified_bytes += size;
     ++s.uploads;
-    s.upload_bytes += item.content.size();
+    s.upload_bytes += size;
   }
   s.busy_ns += ns_between(t0, steady::now());
 }
@@ -285,9 +307,10 @@ server_stats sync_server::stats() const {
     shard_stats st;
     auto l = s.lock();
     st.users = s.users.size();
-    st.objects = s.store.key_count();
-    st.manifests = s.chunks == nullptr ? 0 : s.chunks->manifest_count();
-    st.live_bytes = s.store.stats().live_bytes;
+    const bool whole = s.chunks == nullptr;
+    st.objects = whole ? s.objects.size() : s.store.key_count();
+    st.manifests = whole ? 0 : s.chunks->manifest_count();
+    st.live_bytes = whole ? s.object_bytes : s.store.stats().live_bytes;
     st.sessions_admitted = s.sessions_admitted;
     st.admission_waits = s.admission_waits;
     st.admission_wait_ns = s.admission_wait_ns;

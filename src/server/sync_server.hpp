@@ -2,8 +2,8 @@
 // concurrent sessions.
 //
 // Sharding model: users hash to shards (shard_of), and a shard OWNS all
-// server-side state for its users — metadata namespace, object store, chunk
-// backend, and the user's dedup scopes in the shared dedup_index. Every
+// server-side state for its users — metadata namespace, stored objects (or
+// chunk backend), and the user's dedup scopes in the shared dedup_index. Every
 // server RPC for a user runs under that shard's stripe lock, so per-scope
 // operations are serialized exactly as dedup_index's contract requires while
 // distinct shards proceed in parallel. The lock is taken try_lock-first so
@@ -51,7 +51,7 @@ struct server_config {
 struct shard_stats {
   // Occupancy gauges
   std::uint64_t users = 0;         ///< tenants attached to this shard
-  std::uint64_t objects = 0;       ///< live keys in the shard's object store
+  std::uint64_t objects = 0;       ///< stored objects (chunk mode: chunks)
   std::uint64_t manifests = 0;     ///< chunk-backend manifests (chunk mode)
   std::uint64_t live_bytes = 0;    ///< live logical bytes stored
 
@@ -137,8 +137,9 @@ class sync_server {
   diff_response compute_diff(const diff_request& req);
 
   /// Transferring phase: store payloads (content-addressed per user), with
-  /// optional SHA-256 verify-on-ingest. Throws std::runtime_error on a
-  /// fingerprint mismatch (the session records itself failed).
+  /// optional SHA-256 verify-on-ingest. Every item is checked before any is
+  /// stored: on a fingerprint mismatch the batch stores nothing and this
+  /// throws std::runtime_error (the session records itself failed).
   void upload_batch(std::uint32_t user, const std::vector<upload_item>& items);
 
   /// One entry of the applying phase's batched commit RPC.

@@ -48,6 +48,14 @@ content_ref content_ref::from_buffer(byte_buffer&& data) {
   return r;
 }
 
+content_ref content_ref::adopt(byte_buffer&& data) {
+  if (data.empty()) return {};
+  const std::size_t size = data.size();
+  segment_list segs;
+  segs.push_back({content_store::global().adopt(std::move(data)), 0, size});
+  return from_segments(std::move(segs));
+}
+
 content_ref content_ref::lazy(std::size_t size,
                               std::function<byte_buffer()> fill) {
   if (size == 0) return {};

@@ -36,6 +36,9 @@ class content_ref {
   static content_ref from_bytes(byte_view data);
   /// Same, then releases the buffer.
   static content_ref from_buffer(byte_buffer&& data);
+  /// `data` as one private chunk that takes ownership of the buffer: no
+  /// interning, no copy (content_store::adopt).
+  static content_ref adopt(byte_buffer&& data);
   /// A `size`-byte sequence materialized by `fill` on first read (one private
   /// chunk).
   static content_ref lazy(std::size_t size, std::function<byte_buffer()> fill);

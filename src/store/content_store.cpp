@@ -121,6 +121,13 @@ chunk_handle content_store::intern(byte_view data) {
   }
 }
 
+chunk_handle content_store::adopt(byte_buffer&& data) {
+  auto c = std::unique_ptr<store_chunk>(new store_chunk());
+  c->size_ = data.size();
+  c->data_ = std::move(data);
+  return finish_chunk(std::move(c));
+}
+
 chunk_handle content_store::lazy(std::size_t size,
                                  std::function<byte_buffer()> fill) {
   auto c = std::unique_ptr<store_chunk>(new store_chunk());

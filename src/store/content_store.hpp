@@ -93,6 +93,11 @@ class content_store {
   /// copy.
   chunk_handle intern(byte_view data);
 
+  /// A private chunk that takes ownership of `data`, with no intern pass:
+  /// for bytes no other chunk can share (a seeded random payload), where
+  /// intern() would only add a hash pass, a shard lock and a copy.
+  chunk_handle adopt(byte_buffer&& data);
+
   /// A private chunk of `size` bytes whose content is produced by `fill` on
   /// first read. `fill` must return exactly `size` bytes and be safe to call
   /// from any thread (it runs at most once).

@@ -1,6 +1,9 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <numbers>
 
 namespace cloudsync {
@@ -104,23 +107,37 @@ std::uint64_t rng::zipf(std::uint64_t n, double s) {
   return r >= n ? n - 1 : r;
 }
 
-byte_buffer random_bytes(rng& r, std::size_t n) {
-  byte_buffer out(n);
+namespace {
+
+/// p[0, n) takes the little-endian bytes of successive next() words, 8 per
+/// store; the tail takes the low bytes of one more word. The generator runs
+/// on a local copy, written back at the end, so the byte stores cannot alias
+/// its state and the compiler keeps it in registers.
+void fill_random(rng& r, std::uint8_t* p, std::size_t n) {
+  rng g = r;
+  const auto le = [](std::uint64_t v) {
+    if constexpr (std::endian::native == std::endian::big) {
+      v = __builtin_bswap64(v);
+    }
+    return v;
+  };
   const std::size_t whole = n - n % 8;
   for (std::size_t i = 0; i < whole; i += 8) {
-    const std::uint64_t v = r.next();
-    for (int k = 0; k < 8; ++k) {
-      out[i + k] = static_cast<std::uint8_t>(v >> (8 * k));
-    }
+    const std::uint64_t v = le(g.next());
+    std::memcpy(p + i, &v, 8);
   }
-  // The tail takes the low bytes of one more word; n % 8 keeps the shift
-  // below 64 where the compiler can see it.
   if (const std::size_t rest = n % 8; rest > 0) {
-    const std::uint64_t v = r.next();
-    for (std::size_t k = 0; k < rest; ++k) {
-      out[whole + k] = static_cast<std::uint8_t>(v >> (8 * k));
-    }
+    const std::uint64_t v = le(g.next());
+    std::memcpy(p + whole, &v, rest);
   }
+  r = g;
+}
+
+}  // namespace
+
+byte_buffer random_bytes(rng& r, std::size_t n) {
+  byte_buffer out(n);
+  fill_random(r, out.data(), n);
   return out;
 }
 
@@ -156,19 +173,19 @@ byte_buffer synthetic_payload(rng& r, std::size_t n, double target_ratio) {
   // run compresses to ~nothing, so a fraction q of repetitive content yields
   // ratio ~ 1 / (1 - q).
   const double q = 1.0 - 1.0 / target_ratio;
-  byte_buffer out;
-  out.reserve(n);
+  rng g = r;
+  byte_buffer out(n);
   constexpr std::size_t kRun = 256;
-  while (out.size() < n) {
-    const std::size_t want = std::min(kRun, n - out.size());
-    if (r.uniform_real() < q) {
-      const auto fill = static_cast<std::uint8_t>('a' + r.uniform(26));
-      out.insert(out.end(), want, fill);
+  for (std::size_t pos = 0; pos < n; pos += kRun) {
+    const std::size_t want = std::min(kRun, n - pos);
+    if (g.uniform_real() < q) {
+      std::memset(out.data() + pos, static_cast<int>('a' + g.uniform(26)),
+                  want);
     } else {
-      const byte_buffer chunk = random_bytes(r, want);
-      append(out, chunk);
+      fill_random(g, out.data() + pos, want);
     }
   }
+  r = g;
   return out;
 }
 

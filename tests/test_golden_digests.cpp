@@ -300,6 +300,43 @@ std::string lzss_cell() {
       .str();
 }
 
+// --- payload generators ------------------------------------------------------
+
+/// random_bytes and synthetic_payload from a fresh rng per call, reduced to a
+/// running CRC-32 of their bytes plus a fold of the rng's next word after
+/// each call. The bytes pin the word store (order, tail); the next words pin
+/// the call sequence, so an extra or a missing next() moves this line even
+/// where the bytes do not.
+std::string payload_generators_cell() {
+  std::uint64_t seed = 0, bytes = 0;
+  std::uint32_t random_crc = 0, synthetic_crc = 0;
+  std::uint64_t random_next = 0, synthetic_next = 0;
+  for (const std::size_t n : {0, 1, 7, 8, 9, 255, 256, 257, 4095, 4096, 4097,
+                              64 * 1024 + 3}) {
+    rng r(++seed);
+    const byte_buffer out = random_bytes(r, n);
+    bytes += out.size();
+    random_crc = crc32(out, random_crc);
+    random_next = mix64(random_next ^ r.next());
+  }
+  for (const double ratio : {1.0, 1.31, 2.2, 4.0}) {
+    for (const std::size_t n : {0, 1, 255, 256, 257, 10'000, 100'003}) {
+      rng r(++seed);
+      const byte_buffer out = synthetic_payload(r, n, ratio);
+      bytes += out.size();
+      synthetic_crc = crc32(out, synthetic_crc);
+      synthetic_next = mix64(synthetic_next ^ r.next());
+    }
+  }
+  return digest_line()
+      .num("bytes", bytes)
+      .hex("random_bytes_crc32", random_crc)
+      .hex("random_bytes_next", random_next)
+      .hex("synthetic_payload_crc32", synthetic_crc)
+      .hex("synthetic_payload_next", synthetic_next)
+      .str();
+}
+
 // --- the cell table ----------------------------------------------------------
 
 struct cell {
@@ -323,6 +360,7 @@ const std::vector<cell>& cells() {
       {"protocol_adaptive_small_edits", protocol_cell},
       {"cache_write_back_frequent_mods", cache_cell},
       {"lzss_frames", lzss_cell},
+      {"payload_generators", payload_generators_cell},
   };
   return table;
 }
@@ -413,6 +451,8 @@ TEST(GoldenDigests, WriteBackCacheFrequentMods) {
 }
 
 TEST(GoldenDigests, LzssFrames) { expect_golden("lzss_frames"); }
+
+TEST(GoldenDigests, PayloadGenerators) { expect_golden("payload_generators"); }
 
 }  // namespace
 }  // namespace cloudsync

@@ -66,6 +66,27 @@ TEST(SessionWorkload, IdentityMatchesFingerprint) {
   EXPECT_EQ(again.fp, id.fp);
 }
 
+TEST(SessionWorkload, IdentityBytesGeneratedOnce) {
+  // A seed no other test resolves, and a fresh one on every repetition (the
+  // identity memo lives as long as the process): identity_for generates it
+  // here, once, and the fingerprint is taken over the chunk it keeps.
+  static std::uint64_t next_seed = 0x6f6e636500000000;
+  const std::uint64_t seed = next_seed++;
+  const std::uint32_t size = 4711;
+  const content_store& store = content_store::global();
+  const std::uint64_t before = store.stats().live_bytes;
+  const content_identity id = identity_for(seed, size);
+  EXPECT_EQ(store.stats().live_bytes, before + size);
+  EXPECT_EQ(sha256(id.content.flatten()), id.fp);
+  // Verify-on-ingest hashes the bytes already in memory and the store pins
+  // the same chunk: nothing is generated or copied.
+  sync_server srv;
+  srv.upload_batch(5,
+                   {upload_item{"once.dat", "u5/o/once", id.content, id.fp}});
+  EXPECT_EQ(store.stats().live_bytes, before + size);
+  EXPECT_EQ(srv.stats().aggregate().uploads, 1u);
+}
+
 TEST(SyncServer, SingleSessionCommitsEverything) {
   sync_server srv;
   const auto work = make_session_workloads(small_params());
@@ -254,6 +275,40 @@ TEST(SyncServer, VerifyRejectsLyingClient) {
   EXPECT_THROW(srv.upload_batch(9, {item}), std::runtime_error);
   EXPECT_EQ(srv.stats().aggregate().verify_failures, 1u);
   EXPECT_EQ(srv.stats().aggregate().uploads, 0u);
+}
+
+TEST(SyncServer, RejectedBatchStoresNothing) {
+  const content_identity honest = identity_for(321, 1500);
+  const content_identity other = identity_for(654, 900);
+  const upload_item good{"good.dat", "u9/o/good", honest.content, honest.fp};
+  const upload_item liar{"evil.dat", "u9/o/evil", other.content, fingerprint{}};
+  for (const bool chunk_store : {false, true}) {
+    SCOPED_TRACE(chunk_store ? "chunk store" : "whole objects");
+    sync_server srv(server_config{.use_chunk_store = chunk_store,
+                                  .chunk_store_chunk_size = 512});
+    // The honest item comes first, yet the liar after it rejects the batch.
+    EXPECT_THROW(srv.upload_batch(9, {good, liar}), std::runtime_error);
+    shard_stats agg = srv.stats().aggregate();
+    EXPECT_EQ(agg.uploads, 0u);
+    EXPECT_EQ(agg.objects, 0u);
+    EXPECT_EQ(agg.manifests, 0u);
+    EXPECT_EQ(agg.live_bytes, 0u);
+    EXPECT_EQ(agg.verified_bytes, 0u);
+    EXPECT_EQ(agg.verify_failures, 1u);
+    // The honest item alone uploads normally.
+    srv.upload_batch(9, {good});
+    agg = srv.stats().aggregate();
+    EXPECT_EQ(agg.uploads, 1u);
+    EXPECT_EQ(agg.upload_bytes, honest.content.size());
+    EXPECT_EQ(agg.verified_bytes, honest.content.size());
+    EXPECT_EQ(agg.live_bytes, honest.content.size());
+    EXPECT_EQ(agg.manifests, chunk_store ? 1u : 0u);
+    if (chunk_store) {
+      EXPECT_GT(agg.objects, 0u);
+    } else {
+      EXPECT_EQ(agg.objects, 1u);
+    }
+  }
 }
 
 TEST(SyncServer, EvictUserDropsScopeAndForcesReupload) {
