@@ -142,8 +142,8 @@ int main() {
       const service_profile s = with_defer(baseline(), r.defer);
       const auto res = run_append_experiment(
           make_config(s, access_method::pc_client), 3.0, 3.0, 1 * MiB);
-      table.row({r.label, strfmt("%.1f", res.tue),
-                 strfmt("%llu", (unsigned long long)res.commits)});
+      table.row({r.label, strfmt("%.1f", res.tue()),
+                 strfmt("%llu", (unsigned long long)res.counters.commits)});
     }
     std::printf("%s\n", table.str().c_str());
     std::printf(

@@ -37,7 +37,7 @@ int main() {
     for (const variant& v : variants) {
       const auto res = run_append_experiment(
           make_config(v.profile, access_method::pc_client), x, x, 1 * MiB);
-      row.push_back(strfmt("%.1f", res.tue));
+      row.push_back(strfmt("%.1f", res.tue()));
     }
     table.row(std::move(row));
   }

@@ -65,40 +65,8 @@ experiment_config cacheless_cfg(bool defer_free) {
   return make_config(s, access_method::pc_client);
 }
 
-bool same_meter(const traffic_meter& a, const traffic_meter& b) {
-  for (int d = 0; d < 2; ++d) {
-    for (std::size_t c = 0;
-         c < static_cast<std::size_t>(traffic_category::kCount); ++c) {
-      const auto dir = static_cast<direction>(d);
-      const auto cat = static_cast<traffic_category>(c);
-      if (a.get(dir, cat) != b.get(dir, cat)) return false;
-    }
-  }
-  return true;
-}
-
-bool same(const cache_run_result& a, const cache_run_result& b) {
-  return same_meter(a.meter, b.meter) && a.total_traffic == b.total_traffic &&
-         a.rehydrate_traffic == b.rehydrate_traffic &&
-         a.data_update_bytes == b.data_update_bytes &&
-         a.commits == b.commits && a.cache.hits == b.cache.hits &&
-         a.cache.misses == b.cache.misses &&
-         a.cache.evictions == b.cache.evictions &&
-         a.cache.dirty_marked == b.cache.dirty_marked &&
-         a.cache.dirty_coalesced == b.cache.dirty_coalesced &&
-         a.cache.flushes == b.cache.flushes &&
-         a.resident_blocks == b.resident_blocks &&
-         a.resident_bytes == b.resident_bytes;
-}
-
-using job = std::function<cache_run_result()>;
-
-std::vector<cache_run_result> evaluate(const std::vector<job>& jobs,
-                                       unsigned threads) {
-  std::vector<cache_run_result> out(jobs.size());
-  parallel_runner pool(threads);
-  pool.run_indexed(jobs.size(), [&](std::size_t i) { out[i] = jobs[i](); });
-  return out;
+std::uint64_t rehydrate_traffic(const experiment_result& r) {
+  return r.meter.by_category(traffic_category::rehydrate);
 }
 
 void meter_diff(const char* label, const traffic_meter& a,
@@ -155,7 +123,7 @@ int main(int argc, char** argv) {
   //   [6 .. 6+2C)                capped scan: [cap][lru, arc]
   //   [6+2C]                     write-through, frequent_mods (defer-free)
   //   [6+2C+1 .. +num_windows]   write-back per window, frequent_mods (df)
-  std::vector<job> jobs;
+  std::vector<experiment_job> jobs;
   auto push = [&](experiment_config cfg, cache_workload wl,
                   std::size_t pin = 0) {
     jobs.push_back([cfg = std::move(cfg), wl, files, pin] {
@@ -192,12 +160,12 @@ int main(int argc, char** argv) {
   }
 
   const unsigned threads = parallel_runner::default_thread_count();
-  const std::vector<cache_run_result> serial = evaluate(jobs, 1);
-  const std::vector<cache_run_result> parallel = evaluate(jobs, threads);
+  const std::vector<experiment_result> serial = evaluate(jobs, 1);
+  const std::vector<experiment_result> parallel = evaluate(jobs, threads);
 
   bool deterministic = true;
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    if (!same(serial[i], parallel[i])) {
+    if (serial[i] != parallel[i]) {
       deterministic = false;
       std::fprintf(stderr, "determinism violation: job %zu differs\n", i);
     }
@@ -214,10 +182,9 @@ int main(int argc, char** argv) {
       {"mods/lru", 1, 4},  {"mods/arc", 1, 5},
   };
   for (const auto& pr : kIdentityPairs) {
-    const cache_run_result& base = serial[pr.baseline];
-    const cache_run_result& cached = serial[pr.cached];
-    if (!same_meter(base.meter, cached.meter) ||
-        cached.rehydrate_traffic != 0) {
+    const experiment_result& base = serial[pr.baseline];
+    const experiment_result& cached = serial[pr.cached];
+    if (base.meter != cached.meter || rehydrate_traffic(cached) != 0) {
       identity = false;
       std::fprintf(stderr, "identity violation: %s\n", pr.name);
       meter_diff(pr.name, base.meter, cached.meter);
@@ -232,29 +199,29 @@ int main(int argc, char** argv) {
   bool arc_monotone = true;
   double prev_lru = -1.0, prev_arc = -1.0;
   for (std::size_t c = 0; c < capacities.size(); ++c) {
-    const cache_run_result& lru = serial[scan_base + 2 * c];
-    const cache_run_result& arc = serial[scan_base + 2 * c + 1];
-    if (arc.hit_ratio + 1e-12 < lru.hit_ratio) {
+    const experiment_result& lru = serial[scan_base + 2 * c];
+    const experiment_result& arc = serial[scan_base + 2 * c + 1];
+    if (arc.cache.hit_ratio() + 1e-12 < lru.cache.hit_ratio()) {
       arc_ge_lru = false;
       std::fprintf(stderr, "ARC < LRU at capacity %llu: %.4f vs %.4f\n",
-                   (unsigned long long)capacities[c], arc.hit_ratio,
-                   lru.hit_ratio);
+                   (unsigned long long)capacities[c], arc.cache.hit_ratio(),
+                   lru.cache.hit_ratio());
     }
-    if (lru.hit_ratio + 1e-12 < prev_lru) {
+    if (lru.cache.hit_ratio() + 1e-12 < prev_lru) {
       lru_monotone = false;
       std::fprintf(stderr, "LRU hit ratio regressed at capacity %llu\n",
                    (unsigned long long)capacities[c]);
     }
-    if (arc.hit_ratio + 1e-12 < prev_arc) arc_monotone = false;
-    prev_lru = lru.hit_ratio;
-    prev_arc = arc.hit_ratio;
+    if (arc.cache.hit_ratio() + 1e-12 < prev_arc) arc_monotone = false;
+    prev_lru = lru.cache.hit_ratio();
+    prev_arc = arc.cache.hit_ratio();
   }
 
   // Gate: write-back strictly beats write-through TUE at every window.
   bool wb_wins = true;
-  const double wt_tue = serial[wt_run].tue;
+  const double wt_tue = serial[wt_run].tue();
   for (std::size_t w = 0; w < num_windows; ++w) {
-    const double wb_tue = serial[wb_base + w].tue;
+    const double wb_tue = serial[wb_base + w].tue();
     if (!(wb_tue < wt_tue)) {
       wb_wins = false;
       std::fprintf(stderr,
@@ -270,12 +237,12 @@ int main(int argc, char** argv) {
               "TUE"});
     for (std::size_t c = 0; c < capacities.size(); ++c) {
       for (std::size_t p = 0; p < 2; ++p) {
-        const cache_run_result& r = serial[scan_base + 2 * c + p];
+        const experiment_result& r = serial[scan_base + 2 * c + p];
         t.row({human(static_cast<double>(capacities[c])),
-               p == 0 ? "lru" : "arc", strfmt("%.4f", r.hit_ratio),
-               human(static_cast<double>(r.rehydrate_traffic)),
+               p == 0 ? "lru" : "arc", strfmt("%.4f", r.cache.hit_ratio()),
+               human(static_cast<double>(rehydrate_traffic(r))),
                strfmt("%llu", (unsigned long long)r.cache.evictions),
-               strfmt("%.3f", r.tue)});
+               strfmt("%.3f", r.tue())});
       }
     }
     std::printf("--- looping scan: capacity x policy (%zu files x %s) ---\n%s\n",
@@ -284,17 +251,17 @@ int main(int argc, char** argv) {
   {
     text_table t;
     t.header({"mode", "window", "TUE", "commits", "coalesced", "total"});
-    const cache_run_result& wt = serial[wt_run];
-    t.row({"write-through", "-", strfmt("%.3f", wt.tue),
-           strfmt("%llu", (unsigned long long)wt.commits), "-",
-           human(static_cast<double>(wt.total_traffic))});
+    const experiment_result& wt = serial[wt_run];
+    t.row({"write-through", "-", strfmt("%.3f", wt.tue()),
+           strfmt("%llu", (unsigned long long)wt.counters.commits), "-",
+           human(static_cast<double>(wt.total_traffic()))});
     for (std::size_t w = 0; w < num_windows; ++w) {
-      const cache_run_result& wb = serial[wb_base + w];
+      const experiment_result& wb = serial[wb_base + w];
       t.row({"write-back", strfmt("%.0fs", kWindowsSec[w]),
-             strfmt("%.3f", wb.tue),
-             strfmt("%llu", (unsigned long long)wb.commits),
+             strfmt("%.3f", wb.tue()),
+             strfmt("%llu", (unsigned long long)wb.counters.commits),
              strfmt("%llu", (unsigned long long)wb.cache.dirty_coalesced),
-             human(static_cast<double>(wb.total_traffic))});
+             human(static_cast<double>(wb.total_traffic()))});
     }
     std::printf("--- frequent mods: write mode x window (defer-free) ---\n%s\n",
                 t.str().c_str());
@@ -325,29 +292,31 @@ int main(int argc, char** argv) {
       << "  \"scan\": [";
   for (std::size_t c = 0; c < capacities.size(); ++c) {
     for (std::size_t p = 0; p < 2; ++p) {
-      const cache_run_result& r = serial[scan_base + 2 * c + p];
+      const experiment_result& r = serial[scan_base + 2 * c + p];
       out << (c == 0 && p == 0 ? "\n" : ",\n") << "    {\"capacity\": "
           << capacities[c] << ", \"policy\": \""
-          << (p == 0 ? "lru" : "arc") << "\", \"hit_ratio\": " << r.hit_ratio
+          << (p == 0 ? "lru" : "arc")
+          << "\", \"hit_ratio\": " << r.cache.hit_ratio()
           << ", \"hits\": " << r.cache.hits
           << ", \"misses\": " << r.cache.misses
           << ", \"evictions\": " << r.cache.evictions
-          << ", \"rehydrate\": " << r.rehydrate_traffic
-          << ", \"tue\": " << r.tue << "}";
+          << ", \"rehydrate\": " << rehydrate_traffic(r)
+          << ", \"tue\": " << r.tue() << "}";
     }
   }
   out << "\n  ],\n  \"write_mode\": [";
   {
-    const cache_run_result& wt = serial[wt_run];
+    const experiment_result& wt = serial[wt_run];
     out << "\n    {\"mode\": \"write_through\", \"window_sec\": 0"
-        << ", \"tue\": " << wt.tue << ", \"commits\": " << wt.commits
-        << ", \"total\": " << wt.total_traffic << ", \"coalesced\": 0}";
+        << ", \"tue\": " << wt.tue()
+        << ", \"commits\": " << wt.counters.commits
+        << ", \"total\": " << wt.total_traffic() << ", \"coalesced\": 0}";
     for (std::size_t w = 0; w < num_windows; ++w) {
-      const cache_run_result& wb = serial[wb_base + w];
+      const experiment_result& wb = serial[wb_base + w];
       out << ",\n    {\"mode\": \"write_back\", \"window_sec\": "
-          << kWindowsSec[w] << ", \"tue\": " << wb.tue
-          << ", \"commits\": " << wb.commits
-          << ", \"total\": " << wb.total_traffic
+          << kWindowsSec[w] << ", \"tue\": " << wb.tue()
+          << ", \"commits\": " << wb.counters.commits
+          << ", \"total\": " << wb.total_traffic()
           << ", \"coalesced\": " << wb.cache.dirty_coalesced << "}";
     }
   }

@@ -1,7 +1,7 @@
 // Crash-recovery sweep: what does a crashing client cost at the network
 // level, and how much of that cost do resumable transfers claw back? For
-// each service, runs the crash workload (distinct creations + one-byte
-// modifications, journaled, through resumable upload sessions) under
+// each service, runs the create-then-modify workload (distinct creations +
+// one-byte modifications, journaled, through resumable upload sessions) under
 // increasingly frequent seeded client crashes, once with session resume on
 // and once restarting every interrupted transfer from scratch — the paper's
 // §5 observation (Box and Ubuntu One re-send the whole file after a
@@ -49,19 +49,6 @@ experiment_config cfg_for(const service_profile& s, double crash_rate,
   return cfg;
 }
 
-bool same(const crash_run_result& a, const crash_run_result& b) {
-  return a.total_traffic == b.total_traffic &&
-         a.resume_traffic == b.resume_traffic &&
-         a.retry_traffic == b.retry_traffic &&
-         a.data_update_bytes == b.data_update_bytes && a.tue == b.tue &&
-         a.completion_sec == b.completion_sec && a.crashes == b.crashes &&
-         a.resumes == b.resumes &&
-         a.recovery_restarts == b.recovery_restarts &&
-         a.journal_begun == b.journal_begun &&
-         a.journal_committed == b.journal_committed &&
-         a.journal_aborted == b.journal_aborted;
-}
-
 /// Seed-averaged view of one (service, rate, resume) cell.
 struct cell_avg {
   double tue = 0;
@@ -72,30 +59,21 @@ struct cell_avg {
   std::uint64_t recovery_restarts = 0;
 };
 
-cell_avg average(const crash_run_result* runs, std::size_t n) {
+cell_avg average(const experiment_result* runs, std::size_t n) {
   cell_avg avg;
   for (std::size_t i = 0; i < n; ++i) {
-    avg.tue += runs[i].tue;
+    avg.tue += runs[i].tue();
     avg.completion_sec += runs[i].completion_sec;
-    avg.resume_traffic += static_cast<double>(runs[i].resume_traffic);
+    avg.resume_traffic += static_cast<double>(
+        runs[i].meter.by_category(traffic_category::resume));
     avg.crashes += runs[i].crashes;
-    avg.resumes += runs[i].resumes;
-    avg.recovery_restarts += runs[i].recovery_restarts;
+    avg.resumes += runs[i].counters.resumes;
+    avg.recovery_restarts += runs[i].counters.recovery_restarts;
   }
   avg.tue /= static_cast<double>(n);
   avg.completion_sec /= static_cast<double>(n);
   avg.resume_traffic /= static_cast<double>(n);
   return avg;
-}
-
-using job = std::function<crash_run_result()>;
-
-std::vector<crash_run_result> evaluate(const std::vector<job>& jobs,
-                                       unsigned threads) {
-  std::vector<crash_run_result> out(jobs.size());
-  parallel_runner pool(threads);
-  pool.run_indexed(jobs.size(), [&](std::size_t i) { out[i] = jobs[i](); });
-  return out;
 }
 
 }  // namespace
@@ -108,13 +86,13 @@ int main(int argc, char** argv) {
   constexpr std::size_t kNumSeeds = std::size(kSeeds);
 
   // Grid layout: [service][rate][resume? 0=on 1=off][seed].
-  std::vector<job> jobs;
+  std::vector<experiment_job> jobs;
   for (const service_profile& s : services) {
     for (const double rate : kCrashRates) {
       for (const bool resume : {true, false}) {
         for (const std::uint64_t seed : kSeeds) {
           jobs.push_back([cfg = cfg_for(s, rate, resume, seed)] {
-            return run_crash_experiment(cfg, kFiles, kFileBytes);
+            return run_create_modify_experiment(cfg, kFiles, kFileBytes);
           });
         }
       }
@@ -122,16 +100,11 @@ int main(int argc, char** argv) {
   }
 
   const unsigned threads = parallel_runner::default_thread_count();
-  const std::vector<crash_run_result> serial = evaluate(jobs, 1);
-  const std::vector<crash_run_result> parallel = evaluate(jobs, threads);
-
-  bool deterministic = true;
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    deterministic = deterministic && same(serial[i], parallel[i]);
-  }
+  const std::vector<experiment_result> serial = evaluate(jobs, 1);
+  const bool deterministic = serial == evaluate(jobs, threads);
 
   bool invariants_ok = true;
-  for (const crash_run_result& r : serial) {
+  for (const experiment_result& r : serial) {
     if (!r.invariants.ok()) {
       invariants_ok = false;
       std::fprintf(stderr, "invariant violation:\n%s\n",
@@ -140,7 +113,7 @@ int main(int argc, char** argv) {
   }
 
   auto cell_at = [&](std::size_t svc, std::size_t rate, bool resume,
-                     std::size_t seed) -> const crash_run_result& {
+                     std::size_t seed) -> const experiment_result& {
     return serial[((svc * kNumRates + rate) * 2 + (resume ? 0 : 1)) *
                       kNumSeeds +
                   seed];
@@ -152,7 +125,7 @@ int main(int argc, char** argv) {
     for (std::size_t seed = 0; seed < kNumSeeds; ++seed) {
       zero_rate_identical =
           zero_rate_identical &&
-          same(cell_at(svc, 0, true, seed), cell_at(svc, 0, false, seed));
+          cell_at(svc, 0, true, seed) == cell_at(svc, 0, false, seed);
     }
   }
 
@@ -164,7 +137,7 @@ int main(int argc, char** argv) {
     table_cells[svc].resize(kNumRates);
     for (std::size_t rate = 0; rate < kNumRates; ++rate) {
       for (const bool resume : {true, false}) {
-        crash_run_result runs[kNumSeeds];
+        experiment_result runs[kNumSeeds];
         for (std::size_t seed = 0; seed < kNumSeeds; ++seed) {
           runs[seed] = cell_at(svc, rate, resume, seed);
         }

@@ -1,9 +1,9 @@
 // Robustness sweep: how does network-level efficiency degrade when the
-// network and the service misbehave? For each service, runs the failure
-// workload (distinct creations + one-byte modifications) under increasingly
-// hostile deterministic fault plans — link outages, connection resets,
-// mid-transfer aborts, transient server errors and throttles — and reports
-// TUE plus sync-completion time per intensity.
+// network and the service misbehave? For each service, runs the
+// create-then-modify workload (distinct creations + one-byte modifications,
+// journal-less) under increasingly hostile deterministic fault plans — link
+// outages, connection resets, mid-transfer aborts, transient server errors
+// and throttles — and reports TUE plus sync-completion time per intensity.
 //
 // Self-checks (nonzero exit on violation):
 //   - zero intensity is byte-identical to a run with no fault plan at all
@@ -39,15 +39,6 @@ experiment_config cfg_for(const service_profile& s, double intensity,
   return cfg;
 }
 
-bool same(const failure_run_result& a, const failure_run_result& b) {
-  return a.total_traffic == b.total_traffic &&
-         a.retry_traffic == b.retry_traffic &&
-         a.data_update_bytes == b.data_update_bytes && a.tue == b.tue &&
-         a.completion_sec == b.completion_sec && a.retries == b.retries &&
-         a.requeues == b.requeues && a.fallbacks == b.fallbacks &&
-         a.faults_injected == b.faults_injected;
-}
-
 /// Seed-averaged view of one (service, intensity) cell.
 struct cell_avg {
   double tue = 0;
@@ -59,31 +50,22 @@ struct cell_avg {
   std::uint64_t faults_injected = 0;
 };
 
-cell_avg average(const failure_run_result* runs, std::size_t n) {
+cell_avg average(const experiment_result* runs, std::size_t n) {
   cell_avg avg;
   for (std::size_t i = 0; i < n; ++i) {
-    avg.tue += runs[i].tue;
+    avg.tue += runs[i].tue();
     avg.completion_sec += runs[i].completion_sec;
-    avg.retry_traffic += static_cast<double>(runs[i].retry_traffic);
-    avg.retries += runs[i].retries;
-    avg.requeues += runs[i].requeues;
-    avg.fallbacks += runs[i].fallbacks;
+    avg.retry_traffic += static_cast<double>(
+        runs[i].meter.by_category(traffic_category::retry));
+    avg.retries += runs[i].counters.retries;
+    avg.requeues += runs[i].counters.requeues;
+    avg.fallbacks += runs[i].counters.fallbacks;
     avg.faults_injected += runs[i].faults_injected;
   }
   avg.tue /= static_cast<double>(n);
   avg.completion_sec /= static_cast<double>(n);
   avg.retry_traffic /= static_cast<double>(n);
   return avg;
-}
-
-using job = std::function<failure_run_result()>;
-
-std::vector<failure_run_result> evaluate(const std::vector<job>& jobs,
-                                         unsigned threads) {
-  std::vector<failure_run_result> out(jobs.size());
-  parallel_runner pool(threads);
-  pool.run_indexed(jobs.size(), [&](std::size_t i) { out[i] = jobs[i](); });
-  return out;
 }
 
 }  // namespace
@@ -97,12 +79,12 @@ int main(int argc, char** argv) {
 
   // Grid layout: [service][intensity][seed], plus one trailing block of
   // explicit no-plan baselines [service][seed] that intensity 0 must match.
-  std::vector<job> jobs;
+  std::vector<experiment_job> jobs;
   for (const service_profile& s : services) {
     for (const double intensity : kIntensities) {
       for (const std::uint64_t seed : kSeeds) {
         jobs.push_back([cfg = cfg_for(s, intensity, seed)] {
-          return run_failure_experiment(cfg, kFiles, kFileBytes);
+          return run_create_modify_experiment(cfg, kFiles, kFileBytes);
         });
       }
     }
@@ -111,19 +93,15 @@ int main(int argc, char** argv) {
     for (const std::uint64_t seed : kSeeds) {
       experiment_config cfg = cfg_for(s, 0.0, seed);
       cfg.faults = fault_plan::none();
-      jobs.push_back(
-          [cfg] { return run_failure_experiment(cfg, kFiles, kFileBytes); });
+      jobs.push_back([cfg] {
+        return run_create_modify_experiment(cfg, kFiles, kFileBytes);
+      });
     }
   }
 
   const unsigned threads = parallel_runner::default_thread_count();
-  const std::vector<failure_run_result> serial = evaluate(jobs, 1);
-  const std::vector<failure_run_result> parallel = evaluate(jobs, threads);
-
-  bool deterministic = true;
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    deterministic = deterministic && same(serial[i], parallel[i]);
-  }
+  const std::vector<experiment_result> serial = evaluate(jobs, 1);
+  const bool deterministic = serial == evaluate(jobs, threads);
 
   auto cell_at = [&](std::size_t svc, std::size_t inten, std::size_t seed) {
     return serial[(svc * kNumIntensities + inten) * kNumSeeds + seed];
@@ -136,8 +114,8 @@ int main(int argc, char** argv) {
     for (std::size_t seed = 0; seed < kNumSeeds; ++seed) {
       zero_matches_baseline =
           zero_matches_baseline &&
-          same(cell_at(svc, 0, seed),
-               serial[baseline_off + svc * kNumSeeds + seed]);
+          cell_at(svc, 0, seed) ==
+              serial[baseline_off + svc * kNumSeeds + seed];
     }
   }
 
@@ -145,7 +123,7 @@ int main(int argc, char** argv) {
   std::vector<std::vector<cell_avg>> table_cells(services.size());
   for (std::size_t svc = 0; svc < services.size(); ++svc) {
     for (std::size_t inten = 0; inten < kNumIntensities; ++inten) {
-      failure_run_result runs[kNumSeeds];
+      experiment_result runs[kNumSeeds];
       for (std::size_t seed = 0; seed < kNumSeeds; ++seed) {
         runs[seed] = cell_at(svc, inten, seed);
       }

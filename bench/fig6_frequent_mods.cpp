@@ -28,7 +28,7 @@ int main() {
     for (const service_profile& s : all_services()) {
       const auto res = run_append_experiment(
           make_config(s, access_method::pc_client), x, x, 1 * MiB);
-      row.push_back(strfmt("%.1f", res.tue));
+      row.push_back(strfmt("%.1f", res.tue()));
     }
     table.row(std::move(row));
   }

@@ -28,9 +28,10 @@ int main() {
       bj.link = link_config::beijing();
       const auto rm = run_append_experiment(mn, x, x, 1 * MiB);
       const auto rb = run_append_experiment(bj, x, x, 1 * MiB);
-      table.row({strfmt("%.0f", x), strfmt("%.1f", rm.tue),
-                 strfmt("%.1f", rb.tue), strfmt("%llu", (unsigned long long)rm.commits),
-                 strfmt("%llu", (unsigned long long)rb.commits)});
+      table.row({strfmt("%.0f", x), strfmt("%.1f", rm.tue()),
+                 strfmt("%.1f", rb.tue()),
+                 strfmt("%llu", (unsigned long long)rm.counters.commits),
+                 strfmt("%llu", (unsigned long long)rb.counters.commits)});
     }
     std::printf("%s\n", table.str().c_str());
   }

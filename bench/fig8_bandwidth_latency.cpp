@@ -23,8 +23,8 @@ int main() {
       const packet_filter filter{mbps_to_bytes_per_sec(mbps), sim_time{}};
       cfg.link = filter.apply(link_config::minnesota());
       const auto res = run_append_experiment(cfg, 1.0, 1.0, 1 * MiB);
-      table.row({strfmt("%.1f", mbps), strfmt("%.1f", res.tue),
-                 strfmt("%llu", (unsigned long long)res.commits)});
+      table.row({strfmt("%.1f", mbps), strfmt("%.1f", res.tue()),
+                 strfmt("%llu", (unsigned long long)res.counters.commits)});
     }
     std::printf("%s\n", table.str().c_str());
   }
@@ -41,8 +41,8 @@ int main() {
       cfg.link = link_config::minnesota();
       cfg.link.rtt = sim_time::from_msec(ms);
       const auto res = run_append_experiment(cfg, 1.0, 1.0, 1 * MiB);
-      table.row({strfmt("%.0f", ms), strfmt("%.1f", res.tue),
-                 strfmt("%llu", (unsigned long long)res.commits)});
+      table.row({strfmt("%.0f", ms), strfmt("%.1f", res.tue()),
+                 strfmt("%llu", (unsigned long long)res.counters.commits)});
     }
     std::printf("%s\n", table.str().c_str());
   }

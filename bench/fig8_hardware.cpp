@@ -25,7 +25,7 @@ int main() {
       experiment_config cfg = make_config(dropbox(), access_method::pc_client);
       cfg.hardware = h;
       const auto res = run_append_experiment(cfg, x, x, 1 * MiB);
-      row.push_back(strfmt("%.1f", res.tue));
+      row.push_back(strfmt("%.1f", res.tue()));
     }
     table.row(std::move(row));
   }

@@ -128,36 +128,6 @@ experiment_config cfg_for(const run_config& rc, const link_config& link) {
   return cfg;
 }
 
-bool same_meter(const traffic_meter& a, const traffic_meter& b) {
-  for (int d = 0; d < 2; ++d) {
-    for (std::size_t c = 0;
-         c < static_cast<std::size_t>(traffic_category::kCount); ++c) {
-      const auto dir = static_cast<direction>(d);
-      const auto cat = static_cast<traffic_category>(c);
-      if (a.get(dir, cat) != b.get(dir, cat)) return false;
-    }
-  }
-  return true;
-}
-
-bool same(const protocol_run_result& a, const protocol_run_result& b) {
-  return same_meter(a.meter, b.meter) && a.total_traffic == b.total_traffic &&
-         a.data_update_bytes == b.data_update_bytes &&
-         a.commits == b.commits && a.selector.picks == b.selector.picks &&
-         a.selector.observations == b.selector.observations &&
-         a.selector.error_hist == b.selector.error_hist;
-}
-
-using job = std::function<protocol_run_result()>;
-
-std::vector<protocol_run_result> evaluate(const std::vector<job>& jobs,
-                                          unsigned threads) {
-  std::vector<protocol_run_result> out(jobs.size());
-  parallel_runner pool(threads);
-  pool.run_indexed(jobs.size(), [&](std::size_t i) { out[i] = jobs[i](); });
-  return out;
-}
-
 double median_of(std::vector<double> v) {
   if (v.empty()) return 0.0;
   const std::size_t mid = v.size() / 2;
@@ -197,7 +167,7 @@ int main(int argc, char** argv) {
   const std::size_t num_envs = envs.size();
 
   // Grid layout: [workload][env][run].
-  std::vector<job> jobs;
+  std::vector<experiment_job> jobs;
   for (const protocol_workload wl : kWorkloads) {
     for (const net_env& ne : envs) {
       for (const run_config& rc : kRuns) {
@@ -209,16 +179,11 @@ int main(int argc, char** argv) {
   }
 
   const unsigned threads = parallel_runner::default_thread_count();
-  const std::vector<protocol_run_result> serial = evaluate(jobs, 1);
-  const std::vector<protocol_run_result> parallel = evaluate(jobs, threads);
-
-  bool deterministic = true;
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    deterministic = deterministic && same(serial[i], parallel[i]);
-  }
+  const std::vector<experiment_result> serial = evaluate(jobs, 1);
+  const bool deterministic = serial == evaluate(jobs, threads);
 
   auto cell_at = [&](std::size_t wl, std::size_t env,
-                     std::size_t run) -> const protocol_run_result& {
+                     std::size_t run) -> const experiment_result& {
     return serial[(wl * num_envs + env) * kNumRuns + run];
   };
 
@@ -230,7 +195,7 @@ int main(int argc, char** argv) {
       for (std::size_t r = 0; r < kNumRuns; ++r) {
         if (kRuns[r].identity_of < 0) continue;
         const auto f = static_cast<std::size_t>(kRuns[r].identity_of);
-        if (!same_meter(cell_at(w, e, r).meter, cell_at(w, e, f).meter)) {
+        if (cell_at(w, e, r).meter != cell_at(w, e, f).meter) {
           forced_identity = false;
           std::fprintf(stderr,
                        "identity violation: %s/%s %s vs %s meters differ\n",
@@ -248,9 +213,9 @@ int main(int argc, char** argv) {
   std::vector<bool> strict_win(num_workloads, false);
   for (std::size_t w = 0; w < num_workloads; ++w) {
     for (std::size_t e = 0; e < num_envs; ++e) {
-      const std::uint64_t ad = cell_at(w, e, kAdaptiveRun).total_traffic;
+      const std::uint64_t ad = cell_at(w, e, kAdaptiveRun).total_traffic();
       for (const std::size_t f : kForcedRuns) {
-        const std::uint64_t fx = cell_at(w, e, f).total_traffic;
+        const std::uint64_t fx = cell_at(w, e, f).total_traffic();
         if (static_cast<double>(ad) > static_cast<double>(fx) * kAdaptiveSlack) {
           adaptive_bounded = false;
           std::fprintf(stderr,
@@ -288,10 +253,10 @@ int main(int argc, char** argv) {
       t.header({"run", "total", "TUE", "payload up", "metadata up",
                 "picks f/r/c", "median err"});
       for (std::size_t r = 0; r < kNumRuns; ++r) {
-        const protocol_run_result& res = cell_at(w, e, r);
+        const experiment_result& res = cell_at(w, e, r);
         const protocol_selector_stats& s = res.selector;
-        t.row({kRuns[r].name, human(res.total_traffic),
-               strfmt("%.3f", res.tue),
+        t.row({kRuns[r].name, human(res.total_traffic()),
+               strfmt("%.3f", res.tue()),
                human(res.meter.get(direction::up, traffic_category::payload)),
                human(res.meter.get(direction::up, traffic_category::metadata)),
                picks_str(s),
@@ -343,14 +308,14 @@ int main(int argc, char** argv) {
           << "\", \"env\": \"" << envs[e].name << "\", \"runs\": {";
       first_cell = false;
       for (std::size_t r = 0; r < kNumRuns; ++r) {
-        const protocol_run_result& res = cell_at(w, e, r);
+        const experiment_result& res = cell_at(w, e, r);
         out << (r == 0 ? "\n" : ",\n") << "      \"" << kRuns[r].name
-            << "\": {\"total\": " << res.total_traffic
-            << ", \"tue\": " << res.tue << ", \"payload_up\": "
+            << "\": {\"total\": " << res.total_traffic()
+            << ", \"tue\": " << res.tue() << ", \"payload_up\": "
             << res.meter.get(direction::up, traffic_category::payload)
             << ", \"metadata_up\": "
             << res.meter.get(direction::up, traffic_category::metadata)
-            << ", \"commits\": " << res.commits << ", \"picks\": ["
+            << ", \"commits\": " << res.counters.commits << ", \"picks\": ["
             << res.selector.picks[0] << ", " << res.selector.picks[1] << ", "
             << res.selector.picks[2] << "], \"observations\": "
             << res.selector.observations << ", \"median_err\": "

@@ -180,7 +180,7 @@ scale_run run_scale_leg() {
                                  static_cast<traffic_category>(c));
       }
     }
-    s.commits = env.primary().client->commit_count();
+    s.commits = env.primary().client->counters().commits;
     s.converged =
         env.the_cloud().file_content(0, "big.bin")->equal(st.fs.read("big.bin"));
     s.peak_store_bytes = content_store::global().stats().peak_live_bytes;

@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <tuple>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -75,22 +76,13 @@ experiment_config cfg_for(double intensity, const sched_config& sc,
   return cfg;
 }
 
-bool same(const transfer_run_result& a, const transfer_run_result& b) {
-  return a.delay_samples_sec == b.delay_samples_sec &&
-         a.total_traffic == b.total_traffic &&
-         a.payload_traffic == b.payload_traffic &&
-         a.retry_traffic == b.retry_traffic &&
-         a.redundancy_traffic == b.redundancy_traffic &&
-         a.resume_traffic == b.resume_traffic &&
-         a.data_update_bytes == b.data_update_bytes && a.tue == b.tue &&
-         a.retries == b.retries && a.requeues == b.requeues &&
-         a.fallbacks == b.fallbacks &&
-         a.faults_injected == b.faults_injected &&
-         a.sched.stripes == b.sched.stripes &&
-         a.sched.hedges_fired == b.sched.hedges_fired &&
-         a.sched.hedges_won == b.sched.hedges_won &&
-         a.sched.reconstructions == b.sched.reconstructions &&
-         a.sched.recovery_rounds == b.sched.recovery_rounds;
+/// What the scheduler spent on the wire. The clean-link leg compares it on
+/// top of the identity part: an adaptive scheduler that never escalated
+/// spent exactly what the scheduler-off baseline did (nothing), while its
+/// observation counters legitimately differ.
+auto spending(const transfer_stats& s) {
+  return std::tie(s.stripes, s.hedges_fired, s.hedges_won, s.reconstructions,
+                  s.recovery_rounds);
 }
 
 /// Seed-pooled view of one (intensity, config) cell: the delay distribution
@@ -110,19 +102,21 @@ struct cell_view {
   std::uint64_t recovery_rounds = 0;
 };
 
-cell_view pool(const transfer_run_result* runs, std::size_t n) {
+cell_view pool(const experiment_result* runs, std::size_t n) {
   cell_view v;
   for (std::size_t i = 0; i < n; ++i) {
-    const transfer_run_result& r = runs[i];
+    const experiment_result& r = runs[i];
+    const std::uint64_t redundancy =
+        r.meter.by_category(traffic_category::redundancy);
+    const std::uint64_t retry = r.meter.by_category(traffic_category::retry);
     v.delays.insert(v.delays.end(), r.delay_samples_sec.begin(),
                     r.delay_samples_sec.end());
-    v.tue += r.tue;
-    v.overhead_ratio +=
-        static_cast<double>(r.redundancy_traffic + r.retry_traffic) /
-        static_cast<double>(r.data_update_bytes);
-    v.redundancy_traffic += static_cast<double>(r.redundancy_traffic);
-    v.retry_traffic += static_cast<double>(r.retry_traffic);
-    v.requeues += r.requeues;
+    v.tue += r.tue();
+    v.overhead_ratio += static_cast<double>(redundancy + retry) /
+                        static_cast<double>(r.data_update_bytes);
+    v.redundancy_traffic += static_cast<double>(redundancy);
+    v.retry_traffic += static_cast<double>(retry);
+    v.requeues += r.counters.requeues;
     v.stripes += r.sched.stripes;
     v.hedges_fired += r.sched.hedges_fired;
     v.hedges_won += r.sched.hedges_won;
@@ -140,16 +134,6 @@ cell_view pool(const transfer_run_result* runs, std::size_t n) {
   for (const double d : v.delays) v.mean += d;
   v.mean /= static_cast<double>(v.delays.empty() ? 1 : v.delays.size());
   return v;
-}
-
-using job = std::function<transfer_run_result()>;
-
-std::vector<transfer_run_result> evaluate(const std::vector<job>& jobs,
-                                          unsigned threads) {
-  std::vector<transfer_run_result> out(jobs.size());
-  parallel_runner pool(threads);
-  pool.run_indexed(jobs.size(), [&](std::size_t i) { out[i] = jobs[i](); });
-  return out;
 }
 
 void json_cdf(std::ofstream& out, const std::vector<double>& samples) {
@@ -200,7 +184,7 @@ int main(int argc, char** argv) {
   const std::size_t num_configs = configs.size();
 
   // Grid layout: [intensity][config][seed].
-  std::vector<job> jobs;
+  std::vector<experiment_job> jobs;
   for (const double intensity : intensities) {
     for (const sched_config& sc : configs) {
       for (const std::uint64_t seed : seeds) {
@@ -212,16 +196,11 @@ int main(int argc, char** argv) {
   }
 
   const unsigned threads = parallel_runner::default_thread_count();
-  const std::vector<transfer_run_result> serial = evaluate(jobs, 1);
-  const std::vector<transfer_run_result> parallel = evaluate(jobs, threads);
-
-  bool deterministic = true;
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    deterministic = deterministic && same(serial[i], parallel[i]);
-  }
+  const std::vector<experiment_result> serial = evaluate(jobs, 1);
+  const bool deterministic = serial == evaluate(jobs, threads);
 
   auto cell_at = [&](std::size_t intensity, std::size_t config,
-                     std::size_t seed) -> const transfer_run_result& {
+                     std::size_t seed) -> const experiment_result& {
     return serial[(intensity * num_configs + config) * num_seeds + seed];
   };
 
@@ -230,8 +209,10 @@ int main(int argc, char** argv) {
   // of redundancy nobody needed.)
   bool clean_identity = true;
   for (std::size_t seed = 0; seed < num_seeds; ++seed) {
-    clean_identity = clean_identity && same(cell_at(0, 0, seed),
-                                            cell_at(0, 1, seed));
+    const experiment_result& off = cell_at(0, 0, seed);
+    const experiment_result& on = cell_at(0, 1, seed);
+    clean_identity = clean_identity && off.identity() == on.identity() &&
+                     spending(off.sched) == spending(on.sched);
   }
 
   // Redundancy bytes only ever appear when the scheduler stripes: never for
@@ -239,11 +220,13 @@ int main(int argc, char** argv) {
   bool redundancy_gated = true;
   for (std::size_t in = 0; in < intensities.size(); ++in) {
     for (std::size_t seed = 0; seed < num_seeds; ++seed) {
-      redundancy_gated =
-          redundancy_gated && cell_at(in, 0, seed).redundancy_traffic == 0;
+      const auto redundancy = [&](std::size_t config) {
+        return cell_at(in, config, seed).meter.by_category(
+            traffic_category::redundancy);
+      };
+      redundancy_gated = redundancy_gated && redundancy(0) == 0;
       if (intensities[in] == 0.0) {
-        redundancy_gated =
-            redundancy_gated && cell_at(in, 1, seed).redundancy_traffic == 0;
+        redundancy_gated = redundancy_gated && redundancy(1) == 0;
       }
     }
   }
@@ -256,7 +239,7 @@ int main(int argc, char** argv) {
   std::vector<int> winner(intensities.size(), -1);
   for (std::size_t in = 0; in < intensities.size(); ++in) {
     for (std::size_t c = 0; c < num_configs; ++c) {
-      std::vector<transfer_run_result> runs(num_seeds);
+      std::vector<experiment_result> runs(num_seeds);
       for (std::size_t s = 0; s < num_seeds; ++s) runs[s] = cell_at(in, c, s);
       table[in].push_back(pool(runs.data(), num_seeds));
     }

@@ -17,8 +17,9 @@ void run(const service_profile& profile, const char* label) {
   // An editor writing ~2 KB every 5 seconds for ~40 minutes.
   const auto res = run_append_experiment(cfg, 2.0, 5.0, 1 * MiB);
   std::printf("  %-28s traffic %-10s TUE %-8.1f commits %llu\n", label,
-              format_bytes(static_cast<double>(res.total_traffic)).c_str(),
-              res.tue, static_cast<unsigned long long>(res.commits));
+              format_bytes(static_cast<double>(res.total_traffic())).c_str(),
+              res.tue(),
+              static_cast<unsigned long long>(res.counters.commits));
 }
 
 }  // namespace

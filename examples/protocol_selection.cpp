@@ -25,7 +25,7 @@ service_profile lab_profile() {
   return s;
 }
 
-protocol_run_result run(protocol_mode mode, protocol_id forced) {
+experiment_result run(protocol_mode mode, protocol_id forced) {
   experiment_config cfg{lab_profile()};
   cfg.method = access_method::pc_client;
   cfg.protocol.mode = mode;
@@ -44,20 +44,20 @@ int main() {
                               protocol_id::cdc_dedup};
   std::uint64_t best_pinned = ~0ull;
   for (const protocol_id id : pins) {
-    const protocol_run_result r = run(protocol_mode::forced, id);
+    const experiment_result r = run(protocol_mode::forced, id);
     std::printf("  forced %-10s %10s total  (TUE %.3f)\n", to_string(id),
-                format_bytes(static_cast<double>(r.total_traffic)).c_str(),
-                r.tue);
-    if (r.total_traffic < best_pinned) best_pinned = r.total_traffic;
+                format_bytes(static_cast<double>(r.total_traffic())).c_str(),
+                r.tue());
+    if (r.total_traffic() < best_pinned) best_pinned = r.total_traffic();
   }
 
   // 2. Adaptive: the selector predicts each protocol's wire cost from a
   //    one-pass scan of the update and picks the cheapest, then calibrates
   //    its model against the bytes actually metered.
-  const protocol_run_result ad = run(protocol_mode::adaptive, {});
+  const experiment_result ad = run(protocol_mode::adaptive, {});
   std::printf("  adaptive          %10s total  (TUE %.3f)\n\n",
-              format_bytes(static_cast<double>(ad.total_traffic)).c_str(),
-              ad.tue);
+              format_bytes(static_cast<double>(ad.total_traffic())).c_str(),
+              ad.tue());
 
   std::printf("adaptive picks:\n");
   for (std::size_t p = 0; p < protocol_registry::instance().size(); ++p) {
@@ -70,9 +70,9 @@ int main() {
       static_cast<unsigned long long>(ad.selector.observations),
       100.0 * ad.selector.median_abs_rel_error());
   std::printf("adaptive vs best pinned: %s vs %s\n",
-              format_bytes(static_cast<double>(ad.total_traffic)).c_str(),
+              format_bytes(static_cast<double>(ad.total_traffic())).c_str(),
               format_bytes(static_cast<double>(best_pinned)).c_str());
 
   // A pinned protocol should never beat the selector here.
-  return ad.total_traffic <= best_pinned ? 0 : 1;
+  return ad.total_traffic() <= best_pinned ? 0 : 1;
 }

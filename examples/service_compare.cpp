@@ -26,7 +26,7 @@ scores evaluate(const service_profile& s) {
                       50 * 2 * KiB);
   sc.modify_tue =
       tue(measure_modification_traffic(cfg, 4 * MiB), 1);  // per byte
-  sc.frequent_tue = run_append_experiment(cfg, 4.0, 4.0, 512 * KiB).tue;
+  sc.frequent_tue = run_append_experiment(cfg, 4.0, 4.0, 512 * KiB).tue();
   sc.text_upload = measure_text_upload_traffic(cfg, 4 * MiB);
   return sc;
 }

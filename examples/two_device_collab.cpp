@@ -57,9 +57,9 @@ int main() {
                   : "no");
   std::printf("  conflicted copies: laptop %llu, tablet %llu\n",
               static_cast<unsigned long long>(
-                  laptop.client->conflict_count()),
+                  laptop.client->counters().conflicts),
               static_cast<unsigned long long>(
-                  tablet.client->conflict_count()));
+                  tablet.client->counters().conflicts));
   std::printf("\ntraffic: laptop %s (up %s), tablet %s (down %s)\n",
               format_bytes(static_cast<double>(
                                laptop.client->meter().total()))

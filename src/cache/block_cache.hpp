@@ -82,6 +82,8 @@ struct block_cache_stats {
     const std::uint64_t n = hits + misses;
     return n == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(n);
   }
+
+  bool operator==(const block_cache_stats&) const = default;
 };
 
 class block_cache {

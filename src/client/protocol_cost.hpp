@@ -133,6 +133,8 @@ struct protocol_selector_stats {
   }
   /// Median of the recorded samples (0 when none).
   double median_abs_rel_error() const;
+
+  bool operator==(const protocol_selector_stats&) const = default;
 };
 
 struct selector_pick {

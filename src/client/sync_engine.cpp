@@ -55,7 +55,28 @@ std::uint64_t chunk_size_at(std::uint64_t total, std::size_t chunk_bytes,
   return std::min<std::uint64_t>(chunk_bytes, total - start);
 }
 
+constexpr std::uint64_t client_counters::*kCounterFields[] = {
+    &client_counters::commits,          &client_counters::exchanges,
+    &client_counters::conflicts,        &client_counters::retries,
+    &client_counters::requeues,         &client_counters::fallbacks,
+    &client_counters::resumes,          &client_counters::recovery_restarts,
+    &client_counters::poll_failures,    &client_counters::failed_downloads,
+};
+static_assert(sizeof(client_counters) ==
+                  std::size(kCounterFields) * sizeof(std::uint64_t),
+              "every client_counters field must be listed above");
+
 }  // namespace
+
+client_counters& client_counters::operator+=(const client_counters& o) {
+  for (const auto field : kCounterFields) this->*field += o.*field;
+  return *this;
+}
+
+client_counters& client_counters::operator-=(const client_counters& o) {
+  for (const auto field : kCounterFields) this->*field -= o.*field;
+  return *this;
+}
 
 sync_client::sync_client(sim_clock& clock, memfs& fs, cloud& cl, user_id user,
                          sync_options opts)
@@ -275,7 +296,7 @@ void sync_client::try_commit() {
   auto batch = std::move(dirty_);
   dirty_.clear();
   pending_estimate_ = 0;
-  ++commits_;
+  ++counters_.commits;
   // Capture the batch's staleness anchor before commit_batch runs: a failed
   // transaction may requeue its change into dirty_ and re-arm the anchor for
   // the follow-up commit.
@@ -348,7 +369,7 @@ sim_time sync_client::commit_batch(
           applied = true;
           break;
         } catch (const transient_fault& f) {
-          ++retries_;
+          ++counters_.retries;
           meter_.record(direction::up, traffic_category::retry,
                         kBdsItemProbeBytes);
           meter_.record(direction::down, traffic_category::retry,
@@ -357,7 +378,7 @@ sim_time sync_client::commit_batch(
               ++rejections >= opts_.retry.delta_fallback_after) {
             // Graceful degradation: the server keeps rejecting the patch —
             // re-plan the item as a full-file upload.
-            ++fallbacks_;
+            ++counters_.fallbacks;
             plan = plan_upload(path, t, /*force_full=*/true);
           }
           if (attempt >= opts_.retry.max_attempts) break;
@@ -449,7 +470,7 @@ sim_time sync_client::commit_batch(
     if (oc == txn_outcome::apply_failed) {
       // Graceful degradation: the server keeps rejecting the delta — ship
       // the whole file instead (a plain PUT needs no patch machinery).
-      ++fallbacks_;
+      ++counters_.fallbacks;
       plan = plan_upload(path, t, /*force_full=*/true);
       const sim_time at2 = t;
       t = do_exchange(t, plan.payload_up, plan.metadata_up + oh_up, 0,
@@ -462,7 +483,7 @@ sim_time sync_client::commit_batch(
 }
 
 void sync_client::requeue(const std::string& path, const pending_change& chg) {
-  ++requeues_;
+  ++counters_.requeues;
   pending_change& back = dirty_[path];
   back.remove = chg.remove;
   back.existed_in_cloud = chg.existed_in_cloud;
@@ -617,7 +638,7 @@ upload_plan sync_client::plan_upload(const std::string& path, sim_time at,
       if (!fs_.exists(conflict)) {
         fs_.create(conflict, content, at);
       }
-      ++conflicts_;
+      ++counters_.conflicts;
       return plan;  // nothing shipped for the contested path
     }
   }
@@ -743,7 +764,7 @@ sim_time sync_client::send_session_chunks(std::uint64_t txn,
               // session state can never disagree (holes included).
               cloud_.upload_session_chunk(token, idx, bytes, at);
               j.ack_chunk(txn, idx);
-              ++exchanges_;
+              ++counters_.exchanges;
             },
             [&](sim_time at) { maybe_crash(crash_site::mid_chunk, at); });
         if (!so.complete && oc != nullptr) *oc = txn_outcome::gave_up;
@@ -856,7 +877,7 @@ sim_time sync_client::journaled_upload(const std::string& path,
   if (oc == txn_outcome::apply_failed && plan.act == upload_action::delta) {
     // Graceful degradation, journaled: abort this transaction, abandon its
     // session, and run a fresh full-file transaction for the path.
-    ++fallbacks_;
+    ++counters_.fallbacks;
     j.abort(txn, "delta rejected by server");
     cloud_.abandon_upload_session(token);
     return journaled_upload(path, chg, t, oh_up, oh_down, /*force_full=*/true);
@@ -939,7 +960,7 @@ sim_time sync_client::run_exchange(sim_time at, const exchange_spec& spec,
       done = conn_.exchange(start, up_app, down_app);
       exchanged = true;
       if (spec.apply) spec.apply();  // server-side commit; may reject
-      ++exchanges_;
+      ++counters_.exchanges;
       meter_.record(direction::up, traffic_category::payload, spec.payload_up);
       meter_.record(direction::up, traffic_category::metadata, spec.meta_up);
       meter_.record(direction::up, traffic_category::resume, spec.resume_up);
@@ -964,7 +985,7 @@ sim_time sync_client::run_exchange(sim_time at, const exchange_spec& spec,
       if (outcome != nullptr) *outcome = txn_outcome::ok;
       return done;
     } catch (const transient_fault& f) {
-      ++retries_;
+      ++counters_.retries;
       if (xfer_ != nullptr) xfer_->observe_fault();
       const sim_time failed_at = exchanged ? done : f.at();
       if (exchanged) {
@@ -1054,7 +1075,7 @@ void sync_client::download(const std::string& path) {
   if (oc != txn_outcome::ok) {
     // Attempts exhausted: keep the stale local copy; a later notification
     // or explicit download retries the path.
-    ++failed_downloads_;
+    ++counters_.failed_downloads;
     return;
   }
 
@@ -1083,8 +1104,8 @@ std::size_t sync_client::poll_remote_changes() {
   } catch (const transient_fault&) {
     // Throttled/failed poll: the queue is untouched, the next poll retries;
     // only the rejected request itself was wasted.
-    ++poll_failures_;
-    ++retries_;
+    ++counters_.poll_failures;
+    ++counters_.retries;
     meter_.record(direction::up, traffic_category::retry,
                   64 + opts_.http.request_header_bytes);
     meter_.record(direction::down, traffic_category::retry,
@@ -1121,7 +1142,7 @@ std::size_t sync_client::poll_remote_changes() {
       }
       drop_entry_estimate(note.path);
       dirty_.erase(note.path);
-      ++conflicts_;
+      ++counters_.conflicts;
     }
     download(note.path);
     ++applied;
@@ -1161,7 +1182,7 @@ void sync_client::recover() {
     // rescan), and in-flight uploads when resume is off or the session is
     // gone — those pay the full re-upload through the rescan.
     if (rec.resume_token != 0) cloud_.abandon_upload_session(rec.resume_token);
-    if (rec.state == journal_state::in_flight) ++recovery_restarts_;
+    if (rec.state == journal_state::in_flight) ++counters_.recovery_restarts;
     j.erase(rec.id);
   }
   network_busy_until_ = std::max(network_busy_until_, t);
@@ -1174,7 +1195,7 @@ sim_time sync_client::recover_in_flight(const journal_record& rec,
   auto discard = [&] {
     cloud_.abandon_upload_session(rec.resume_token);
     j.erase(rec.id);
-    ++recovery_restarts_;
+    ++counters_.recovery_restarts;
   };
 
   // The recovery metadata round trip: ask the server how far the session
@@ -1254,7 +1275,7 @@ sim_time sync_client::recover_in_flight(const journal_record& rec,
   if (oc == txn_outcome::apply_failed) {
     // The server keeps rejecting the resumed delta: degrade to a fresh
     // full-file transaction, exactly like the live path.
-    ++fallbacks_;
+    ++counters_.fallbacks;
     j.abort(rec.id, "delta rejected by server during resume");
     cloud_.abandon_upload_session(rec.resume_token);
     pending_change chg;
@@ -1270,7 +1291,7 @@ sim_time sync_client::recover_in_flight(const journal_record& rec,
     requeue(rec.path, chg);
     return t;
   }
-  ++resumes_;
+  ++counters_.resumes;
   return t;
 }
 

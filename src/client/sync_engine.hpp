@@ -135,6 +135,38 @@ struct sync_options {
   block_cache* cache_tier = nullptr;
 };
 
+/// What one sync_client incarnation did, by event. Summable, so the crash
+/// harness folds a dead incarnation into its station's total with +=.
+struct client_counters {
+  std::uint64_t commits = 0;
+  std::uint64_t exchanges = 0;
+  /// Conflicted copies created while applying remote changes.
+  std::uint64_t conflicts = 0;
+  /// Transient-fault attempts that were retried (any layer, any outcome).
+  std::uint64_t retries = 0;
+  /// Sync transactions that exhausted their attempts and were put back into
+  /// the dirty set for a later commit.
+  std::uint64_t requeues = 0;
+  /// Delta-sync commits that degraded to a full-file upload after repeated
+  /// server rejections.
+  std::uint64_t fallbacks = 0;
+  /// In-flight transactions continued through their upload session by
+  /// recover() instead of being re-sent from scratch.
+  std::uint64_t resumes = 0;
+  /// Journaled transactions recovery discarded and restarted from scratch
+  /// (resume disabled, session lost, or local content changed under them).
+  std::uint64_t recovery_restarts = 0;
+  /// Notification polls rejected by the metadata service (retried by the
+  /// next poll tick).
+  std::uint64_t poll_failures = 0;
+  /// Downloads abandoned after exhausting their attempts.
+  std::uint64_t failed_downloads = 0;
+
+  client_counters& operator+=(const client_counters& o);
+  client_counters& operator-=(const client_counters& o);
+  bool operator==(const client_counters&) const = default;
+};
+
 class sync_client {
  public:
   sync_client(sim_clock& clock, memfs& fs, cloud& cl, user_id user,
@@ -183,29 +215,7 @@ class sync_client {
   /// as if its fs event had just arrived.
   void recover();
 
-  /// In-flight transactions continued through their upload session by
-  /// recover() instead of being re-sent from scratch.
-  std::uint64_t resume_count() const { return resumes_; }
-  /// Journaled transactions recovery discarded and restarted from scratch
-  /// (resume disabled, session lost, or local content changed under them).
-  std::uint64_t recovery_restart_count() const { return recovery_restarts_; }
-
-  std::uint64_t commit_count() const { return commits_; }
-  std::uint64_t exchange_count() const { return exchanges_; }
-
-  /// Transient-fault attempts that were retried (any layer, any outcome).
-  std::uint64_t retry_count() const { return retries_; }
-  /// Sync transactions that exhausted their attempts and were put back into
-  /// the dirty set for a later commit.
-  std::uint64_t requeue_count() const { return requeues_; }
-  /// Delta-sync commits that degraded to a full-file upload after repeated
-  /// server rejections.
-  std::uint64_t fallback_count() const { return fallbacks_; }
-  /// Notification polls rejected by the metadata service (retried by the
-  /// next poll tick).
-  std::uint64_t poll_failure_count() const { return poll_failures_; }
-  /// Downloads abandoned after exhausting their attempts.
-  std::uint64_t failed_download_count() const { return failed_downloads_; }
+  const client_counters& counters() const { return counters_; }
 
   /// Sync-delay ("staleness") statistics in seconds: for each commit, how
   /// long the oldest batched update waited until it was safely in the cloud.
@@ -217,8 +227,6 @@ class sync_client {
   /// Paths with dirty cached blocks waiting out their write-back coalescing
   /// window (always 0 without a write-back cache tier).
   std::size_t write_back_pending() const { return wb_due_.size(); }
-  /// Conflicted copies created while applying remote changes.
-  std::uint64_t conflict_count() const { return conflicts_; }
   device_id device() const { return device_; }
   const sync_options& options() const { return opts_; }
 
@@ -441,16 +449,7 @@ class sync_client {
   event_id commit_event_ = 0;
   event_id poll_event_ = 0;       ///< pending periodic-poll tick
   std::size_t fs_subscription_ = 0;  ///< memfs observer token
-  std::uint64_t resumes_ = 0;
-  std::uint64_t recovery_restarts_ = 0;
-  std::uint64_t commits_ = 0;
-  std::uint64_t exchanges_ = 0;
-  std::uint64_t conflicts_ = 0;
-  std::uint64_t retries_ = 0;
-  std::uint64_t requeues_ = 0;
-  std::uint64_t fallbacks_ = 0;
-  std::uint64_t poll_failures_ = 0;
-  std::uint64_t failed_downloads_ = 0;
+  client_counters counters_;
   bool applying_remote_ = false;  ///< suppress self-caused fs events
 };
 

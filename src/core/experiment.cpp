@@ -36,21 +36,10 @@ traffic_meter station::aggregate_meter() const {
   return sum;
 }
 
-std::uint64_t station::total_retries() const {
-  return retired_retries + (client ? client->retry_count() : 0);
-}
-std::uint64_t station::total_requeues() const {
-  return retired_requeues + (client ? client->requeue_count() : 0);
-}
-std::uint64_t station::total_fallbacks() const {
-  return retired_fallbacks + (client ? client->fallback_count() : 0);
-}
-std::uint64_t station::total_resumes() const {
-  return retired_resumes + (client ? client->resume_count() : 0);
-}
-std::uint64_t station::total_recovery_restarts() const {
-  return retired_recovery_restarts +
-         (client ? client->recovery_restart_count() : 0);
+client_counters station::aggregate_counters() const {
+  client_counters sum = retired_counters;
+  if (client) sum += client->counters();
+  return sum;
 }
 
 station& experiment_env::add_station(user_id user) {
@@ -101,11 +90,7 @@ void experiment_env::handle_crash(const client_crash& crash) {
     // in-memory sync state dies with it. The journal and filesystem are the
     // station's durable state and survive untouched.
     st.retired_meters.push_back(st.client->meter());
-    st.retired_retries += st.client->retry_count();
-    st.retired_requeues += st.client->requeue_count();
-    st.retired_fallbacks += st.client->fallback_count();
-    st.retired_resumes += st.client->resume_count();
-    st.retired_recovery_restarts += st.client->recovery_restart_count();
+    st.retired_counters += st.client->counters();
     st.client.reset();  // cancels its clock events, detaches its watcher
     station* stptr = &st;
     clock_.schedule_at(clock_.now() + cfg_.restart_delay, [this, stptr] {
@@ -220,18 +205,86 @@ std::uint64_t measure_text_download_traffic(const experiment_config& cfg,
   return experiment_env::traffic_since(st, snap);
 }
 
-append_experiment_result run_append_experiment(const experiment_config& cfg,
-                                               double append_kb,
-                                               double period_sec,
-                                               std::uint64_t total_bytes) {
+namespace {
+
+/// Where a packaged experiment's measured window opens: the station's
+/// meter and counters at that instant, and the sim time.
+struct window {
+  traffic_meter::snapshot meter;
+  client_counters counters;
+  sim_time start;
+};
+
+window open_window(experiment_env& env, const station& st) {
+  return {st.aggregate_meter().snap(), st.aggregate_counters(),
+          env.clock().now()};
+}
+
+/// When the station is idle: the live client's busy-until point, or now
+/// while a crashed incarnation's restart is still queued.
+sim_time idle_at(experiment_env& env, const station& st) {
+  return st.client ? st.client->busy_until() : env.clock().now();
+}
+
+/// The one collector of every packaged experiment: what the station did
+/// over the window, plus each subsystem's end-of-run stats.
+experiment_result collect(experiment_env& env, const station& st,
+                          const window& from,
+                          std::uint64_t data_update_bytes) {
+  experiment_result r;
+  r.meter = st.aggregate_meter().since(from.meter);
+  r.counters = st.aggregate_counters();
+  r.counters -= from.counters;
+  r.data_update_bytes = data_update_bytes;
+  r.completion_sec = (idle_at(env, st) - from.start).sec();
+  r.crashes = st.crashes;
+  r.faults_injected = env.faults().injected_total_all_domains();
+  r.journal_begun = st.journal.begun_count();
+  r.journal_committed = st.journal.committed_count();
+  r.journal_aborted = st.journal.aborted_count();
+  if (st.client != nullptr) {
+    if (const transfer_scheduler* sched = st.client->transfer_sched()) {
+      r.sched = sched->stats();
+      r.per_connection = sched->per_connection();
+    }
+    r.selector = st.client->protocol_stats();
+  }
+  if (st.cache != nullptr) {
+    r.cache = st.cache->stats();
+    r.resident_blocks = st.cache->resident_blocks();
+    r.resident_bytes = st.cache->resident_bytes();
+    r.pinned_paths = st.cache->pinned_paths();
+    r.tracked_paths = st.cache->tracked_paths();
+  }
+  return r;
+}
+
+}  // namespace
+
+invariant_report check_invariants(const experiment_env& env,
+                                  const station& st) {
+  invariant_report rep;
+  check_convergence(st.fs, env.the_cloud(), st.user, rep);
+  if (env.config().journal) {
+    check_journal_quiescent(st.journal, env.the_cloud(), rep);
+    check_no_duplicate_commits(st.journal, env.the_cloud(), st.user, rep);
+  }
+  std::vector<const traffic_meter*> parts;
+  for (const traffic_meter& m : st.retired_meters) parts.push_back(&m);
+  if (st.client) parts.push_back(&st.client->meter());
+  check_meter_conservation(st.aggregate_meter(), parts, rep);
+  return rep;
+}
+
+experiment_result run_append_experiment(const experiment_config& cfg,
+                                        double append_kb, double period_sec,
+                                        std::uint64_t total_bytes) {
   experiment_env env(cfg);
   station& st = env.primary();
   const std::string path = "exp6/doc.dat";
   st.fs.create(path, byte_buffer{}, env.clock().now());
   env.settle();
-
-  const auto snap = st.client->meter().snap();
-  const std::uint64_t commits_before = st.client->commit_count();
+  const window from = open_window(env, st);
 
   const auto chunk = static_cast<std::size_t>(append_kb * 1024.0);
   std::uint64_t appended = 0;
@@ -249,93 +302,34 @@ append_experiment_result run_append_experiment(const experiment_config& cfg,
     ++i;
   }
   env.settle();
-
-  append_experiment_result res;
-  res.total_traffic = experiment_env::traffic_since(st, snap);
-  res.data_update_bytes = total_bytes;
-  res.commits = st.client->commit_count() - commits_before;
-  res.tue = tue(res.total_traffic, res.data_update_bytes);
-  return res;
+  return collect(env, st, from, total_bytes);
 }
 
-failure_run_result run_failure_experiment(const experiment_config& cfg,
-                                          std::size_t files,
-                                          std::uint64_t file_bytes) {
+experiment_result run_create_modify_experiment(const experiment_config& cfg,
+                                               std::size_t files,
+                                               std::uint64_t file_bytes) {
   experiment_env env(cfg);
   station& st = env.primary();
-
-  const sim_time start = env.clock().now();
-  const auto snap = st.client->meter().snap();
-  const std::uint64_t retry_before =
-      st.client->meter().by_category(traffic_category::retry);
-
-  // Phase 1: distinct creations, spaced far enough apart that each syncs as
-  // its own commit (full-upload path).
-  for (std::size_t i = 0; i < files; ++i) {
-    const std::string path = "fail/f" + std::to_string(i);
-    const sim_time at = start + sim_time::from_sec(10.0 * (i + 1));
-    env.clock().schedule_at(at, [&env, &st, path, file_bytes] {
-      st.fs.create(path, env.gen_compressed(file_bytes), env.clock().now());
-    });
-  }
-  env.settle();
-
-  // Phase 2: one-byte modifications (delta-sync path where the service
-  // supports it), again one commit per file.
-  const sim_time mid = std::max(env.clock().now(), st.client->busy_until());
-  for (std::size_t i = 0; i < files; ++i) {
-    const std::string path = "fail/f" + std::to_string(i);
-    const sim_time at = mid + sim_time::from_sec(10.0 * (i + 1));
-    env.clock().schedule_at(at, [&env, &st, path] {
-      modify_random_byte(st.fs, path, env.random(), env.clock().now());
-    });
-  }
-  env.settle();
-
-  failure_run_result res;
-  res.total_traffic = experiment_env::traffic_since(st, snap);
-  res.retry_traffic =
-      st.client->meter().by_category(traffic_category::retry) - retry_before;
-  res.data_update_bytes = files * file_bytes + files;  // creations + 1B edits
-  res.tue = tue(res.total_traffic, res.data_update_bytes);
-  res.completion_sec = (st.client->busy_until() - start).sec();
-  res.retries = st.client->retry_count();
-  res.requeues = st.client->requeue_count();
-  res.fallbacks = st.client->fallback_count();
-  res.faults_injected = env.faults().injected_total();
-  return res;
-}
-
-crash_run_result run_crash_experiment(const experiment_config& cfg,
-                                      std::size_t files,
-                                      std::uint64_t file_bytes) {
-  experiment_config jcfg = cfg;
-  jcfg.journal = true;  // crash recovery is meaningless without the journal
-  experiment_env env(jcfg);
-  station& st = env.primary();
-
-  const sim_time start = env.clock().now();
+  const window from = open_window(env, st);
 
   // Phase 1: distinct creations, spaced so each syncs as its own commit
-  // (full-upload sessions). The fs events fire whether or not the client is
-  // alive at that instant — a crash-downed client learns about them from the
+  // (full uploads). The fs events fire whether or not the client is alive
+  // at that instant — a crash-downed client learns about them from the
   // recovery rescan, like a real machine rebooting after edits.
   for (std::size_t i = 0; i < files; ++i) {
-    const std::string path = "crash/f" + std::to_string(i);
-    const sim_time at = start + sim_time::from_sec(10.0 * (i + 1));
+    const std::string path = "fail/f" + std::to_string(i);
+    const sim_time at = from.start + sim_time::from_sec(10.0 * (i + 1));
     env.clock().schedule_at(at, [&env, &st, path, file_bytes] {
       st.fs.create(path, env.gen_compressed(file_bytes), env.clock().now());
     });
   }
   env.settle();
 
-  // Phase 2: one-byte modifications (delta-sync sessions where the service
-  // supports them).
-  const sim_time mid = std::max(env.clock().now(),
-                                st.client ? st.client->busy_until()
-                                          : env.clock().now());
+  // Phase 2: one-byte modifications (delta sync where the service supports
+  // it), again one commit per file.
+  const sim_time mid = std::max(env.clock().now(), idle_at(env, st));
   for (std::size_t i = 0; i < files; ++i) {
-    const std::string path = "crash/f" + std::to_string(i);
+    const std::string path = "fail/f" + std::to_string(i);
     const sim_time at = mid + sim_time::from_sec(10.0 * (i + 1));
     env.clock().schedule_at(at, [&env, &st, path] {
       modify_random_byte(st.fs, path, env.random(), env.clock().now());
@@ -343,54 +337,30 @@ crash_run_result run_crash_experiment(const experiment_config& cfg,
   }
   env.settle();
 
-  crash_run_result res;
-  const traffic_meter aggregate = st.aggregate_meter();
-  res.total_traffic = aggregate.total();
-  res.resume_traffic = aggregate.by_category(traffic_category::resume);
-  res.retry_traffic = aggregate.by_category(traffic_category::retry);
-  res.data_update_bytes = files * file_bytes + files;  // creations + 1B edits
-  res.tue = tue(res.total_traffic, res.data_update_bytes);
-  res.completion_sec =
-      ((st.client ? st.client->busy_until() : env.clock().now()) - start)
-          .sec();
-  res.crashes = st.crashes;
-  res.resumes = st.total_resumes();
-  res.recovery_restarts = st.total_recovery_restarts();
-  res.journal_begun = st.journal.begun_count();
-  res.journal_committed = st.journal.committed_count();
-  res.journal_aborted = st.journal.aborted_count();
-
-  check_convergence(st.fs, env.the_cloud(), st.user, res.invariants);
-  check_journal_quiescent(st.journal, env.the_cloud(), res.invariants);
-  check_no_duplicate_commits(st.journal, env.the_cloud(), st.user,
-                             res.invariants);
-  std::vector<const traffic_meter*> parts;
-  for (const traffic_meter& m : st.retired_meters) parts.push_back(&m);
-  if (st.client) parts.push_back(&st.client->meter());
-  check_meter_conservation(aggregate, parts, res.invariants);
+  // Creations plus one-byte edits.
+  experiment_result res = collect(env, st, from, files * file_bytes + files);
+  res.invariants = check_invariants(env, st);
   return res;
 }
 
-transfer_run_result run_transfer_experiment(const experiment_config& cfg,
-                                            std::size_t files,
-                                            std::uint64_t file_bytes) {
+experiment_result run_transfer_experiment(const experiment_config& cfg,
+                                          std::size_t files,
+                                          std::uint64_t file_bytes) {
   experiment_config jcfg = cfg;
   jcfg.journal = true;  // sessions (and thus striping) need the journal
   experiment_env env(jcfg);
   station& st = env.primary();
-
-  transfer_run_result res;
+  const window from = open_window(env, st);
 
   // Each transaction runs alone: schedule the fs event, settle, take the
   // event → all-idle latency as one delay sample. Serialising transactions
   // keeps every sample attributable to exactly one transfer (requeues and
   // recovery after a give-up stay inside their transaction's sample — that
   // tail is precisely what redundancy is supposed to cut).
+  std::vector<double> delays;
   const auto run_one = [&](const std::string& path) {
-    const sim_time at =
-        std::max(env.clock().now(),
-                 st.client ? st.client->busy_until() : env.clock().now()) +
-        sim_time::from_sec(5);
+    const sim_time at = std::max(env.clock().now(), idle_at(env, st)) +
+                        sim_time::from_sec(5);
     env.clock().schedule_at(at, [&env, &st, path, file_bytes, at] {
       if (st.fs.exists(path)) {
         st.fs.write(path, env.gen_compressed(file_bytes), at);
@@ -399,9 +369,7 @@ transfer_run_result run_transfer_experiment(const experiment_config& cfg,
       }
     });
     env.settle();
-    const sim_time idle =
-        st.client ? st.client->busy_until() : env.clock().now();
-    res.delay_samples_sec.push_back(std::max(0.0, (idle - at).sec()));
+    delays.push_back(std::max(0.0, (idle_at(env, st) - at).sec()));
   };
 
   // Phase 1: incompressible creations — full-upload sessions split into
@@ -414,23 +382,8 @@ transfer_run_result run_transfer_experiment(const experiment_config& cfg,
     }
   }
 
-  const traffic_meter aggregate = st.aggregate_meter();
-  res.total_traffic = aggregate.total();
-  res.payload_traffic = aggregate.by_category(traffic_category::payload);
-  res.retry_traffic = aggregate.by_category(traffic_category::retry);
-  res.redundancy_traffic =
-      aggregate.by_category(traffic_category::redundancy);
-  res.resume_traffic = aggregate.by_category(traffic_category::resume);
-  res.data_update_bytes = 2 * files * file_bytes;
-  res.tue = tue(res.total_traffic, res.data_update_bytes);
-  res.retries = st.total_retries();
-  res.requeues = st.total_requeues();
-  res.fallbacks = st.total_fallbacks();
-  res.faults_injected = env.faults().injected_total_all_domains();
-  if (st.client != nullptr && st.client->transfer_sched() != nullptr) {
-    res.sched = st.client->transfer_sched()->stats();
-    res.per_connection = st.client->transfer_sched()->per_connection();
-  }
+  experiment_result res = collect(env, st, from, 2 * files * file_bytes);
+  res.delay_samples_sec = std::move(delays);
   return res;
 }
 
@@ -443,12 +396,13 @@ const char* to_string(protocol_workload wl) {
   return "workload?";
 }
 
-protocol_run_result run_protocol_experiment(const experiment_config& cfg,
-                                            protocol_workload wl,
-                                            std::size_t files,
-                                            std::uint64_t file_bytes) {
+experiment_result run_protocol_experiment(const experiment_config& cfg,
+                                          protocol_workload wl,
+                                          std::size_t files,
+                                          std::uint64_t file_bytes) {
   experiment_env env(cfg);
   station& st = env.primary();
+  const window from = open_window(env, st);
 
   // Serialized transactions: each fs event fires once the client is idle,
   // so every commit carries exactly one update and the selector's
@@ -528,14 +482,7 @@ protocol_run_result run_protocol_experiment(const experiment_config& cfg,
     }
   }
 
-  protocol_run_result res;
-  res.meter = st.aggregate_meter();
-  res.total_traffic = res.meter.total();
-  res.data_update_bytes = data_update;
-  res.tue = tue(res.total_traffic, res.data_update_bytes);
-  res.commits = st.client->commit_count();
-  res.selector = st.client->protocol_stats();
-  return res;
+  return collect(env, st, from, data_update);
 }
 
 const char* to_string(cache_workload wl) {
@@ -547,12 +494,13 @@ const char* to_string(cache_workload wl) {
   return "workload?";
 }
 
-cache_run_result run_cache_experiment(const experiment_config& cfg,
-                                      cache_workload wl, std::size_t files,
-                                      std::uint64_t file_bytes,
-                                      std::size_t pin_first) {
+experiment_result run_cache_experiment(const experiment_config& cfg,
+                                       cache_workload wl, std::size_t files,
+                                       std::uint64_t file_bytes,
+                                       std::size_t pin_first) {
   experiment_env env(cfg);
   station& st = env.primary();
+  const window from = open_window(env, st);
 
   const auto path_of = [](std::size_t i) {
     return "cache/f" + std::to_string(i);
@@ -643,22 +591,7 @@ cache_run_result run_cache_experiment(const experiment_config& cfg,
   }
   env.settle();
 
-  cache_run_result res;
-  res.meter = st.aggregate_meter();
-  res.total_traffic = res.meter.total();
-  res.rehydrate_traffic = res.meter.by_category(traffic_category::rehydrate);
-  res.data_update_bytes = data_update;
-  res.tue = tue(res.total_traffic, res.data_update_bytes);
-  res.commits = st.client->commit_count();
-  if (st.cache != nullptr) {
-    res.cache = st.cache->stats();
-    res.hit_ratio = res.cache.hit_ratio();
-    res.resident_blocks = st.cache->resident_blocks();
-    res.resident_bytes = st.cache->resident_bytes();
-    res.pinned_paths = st.cache->pinned_paths();
-    res.tracked_paths = st.cache->tracked_paths();
-  }
-  return res;
+  return collect(env, st, from, data_update);
 }
 
 }  // namespace cloudsync

@@ -74,22 +74,13 @@ struct station {
   std::unique_ptr<sync_client> client;
   device_id device = 0;              ///< stable across incarnations
   std::vector<traffic_meter> retired_meters;  ///< one per dead incarnation
+  client_counters retired_counters;  ///< summed over dead incarnations
   std::uint64_t crashes = 0;
-  // Counters accumulated from dead incarnations (the live client's counters
-  // are added on top when reporting).
-  std::uint64_t retired_retries = 0;
-  std::uint64_t retired_requeues = 0;
-  std::uint64_t retired_fallbacks = 0;
-  std::uint64_t retired_resumes = 0;
-  std::uint64_t retired_recovery_restarts = 0;
 
   /// Sum of every incarnation's traffic, dead and alive.
   traffic_meter aggregate_meter() const;
-  std::uint64_t total_retries() const;
-  std::uint64_t total_requeues() const;
-  std::uint64_t total_fallbacks() const;
-  std::uint64_t total_resumes() const;
-  std::uint64_t total_recovery_restarts() const;
+  /// Sum of every incarnation's counters, dead and alive.
+  client_counters aggregate_counters() const;
 };
 
 class experiment_env {
@@ -123,6 +114,7 @@ class experiment_env {
 
   sim_clock& clock() { return clock_; }
   cloud& the_cloud() { return cloud_; }
+  const cloud& the_cloud() const { return cloud_; }
   rng& random() { return rng_; }
   const experiment_config& config() const { return cfg_; }
   /// The environment's fault injector (inert while cfg.faults is disabled
@@ -192,64 +184,80 @@ std::uint64_t measure_text_upload_traffic(const experiment_config& cfg,
 std::uint64_t measure_text_download_traffic(const experiment_config& cfg,
                                             std::uint64_t x);
 
-/// Experiment 6/7: the "X KB / X sec" appending experiment. Appends
-/// `append_kb` random KB every `period_sec` until `total_bytes` have been
-/// appended, then settles. Returns the result below.
-struct append_experiment_result {
-  std::uint64_t total_traffic = 0;
+/// What a packaged experiment did on the wire and in sim time: the part of
+/// experiment_result that any two runs of equivalent configs must share.
+/// Legs that compare configs whose observability legitimately differs
+/// (scheduler off vs adaptive on a clean link, cacheless vs an uncapped
+/// cache) compare this part; legs that repeat one config compare the whole
+/// result.
+struct experiment_identity {
+  /// Every incarnation's traffic over the measured window.
+  traffic_meter meter;
+  /// Every incarnation's counters over the measured window.
+  client_counters counters;
   std::uint64_t data_update_bytes = 0;
-  std::uint64_t commits = 0;
-  double tue = 0;
-};
-append_experiment_result run_append_experiment(const experiment_config& cfg,
-                                               double append_kb,
-                                               double period_sec,
-                                               std::uint64_t total_bytes);
-
-/// Robustness experiment: create `files` distinct compressed files (spaced
-/// so each syncs as its own commit), then flip one random byte in each —
-/// exercising both the full-upload and delta-sync paths under the config's
-/// fault plan. Reports traffic efficiency and completion time alongside the
-/// retry-layer counters.
-struct failure_run_result {
-  std::uint64_t total_traffic = 0;   ///< all categories, both directions
-  std::uint64_t retry_traffic = 0;   ///< traffic_category::retry share
-  std::uint64_t data_update_bytes = 0;
-  double tue = 0;
-  double completion_sec = 0;  ///< workload start → all stations idle
-  std::uint64_t retries = 0;
-  std::uint64_t requeues = 0;
-  std::uint64_t fallbacks = 0;
-  std::uint64_t faults_injected = 0;
-};
-failure_run_result run_failure_experiment(const experiment_config& cfg,
-                                          std::size_t files,
-                                          std::uint64_t file_bytes);
-
-/// Crash-recovery experiment: the same create-then-modify workload as
-/// run_failure_experiment, but with journaling on and the config's crash
-/// plan armed — clients die at kill sites, restart, and recover. After
-/// quiescence the full invariant suite runs (convergence, journal/session
-/// quiescence, commit counts, meter conservation); a violation is a bug, not
-/// a measurement.
-struct crash_run_result {
-  std::uint64_t total_traffic = 0;    ///< every incarnation, all categories
-  std::uint64_t resume_traffic = 0;   ///< traffic_category::resume share
-  std::uint64_t retry_traffic = 0;    ///< traffic_category::retry share
-  std::uint64_t data_update_bytes = 0;
-  double tue = 0;
-  double completion_sec = 0;
+  double completion_sec = 0;  ///< measured window start → station idle
   std::uint64_t crashes = 0;
-  std::uint64_t resumes = 0;            ///< transactions continued in place
-  std::uint64_t recovery_restarts = 0;  ///< transactions re-sent from scratch
+  std::uint64_t faults_injected = 0;  ///< over all fault domains
   std::uint64_t journal_begun = 0;
   std::uint64_t journal_committed = 0;
   std::uint64_t journal_aborted = 0;
+  /// The invariant suite's verdict (create-then-modify workload only).
   invariant_report invariants;
+  /// One sync delay per transaction (transfer workload only), in order.
+  std::vector<double> delay_samples_sec;
+
+  std::uint64_t total_traffic() const { return meter.total(); }
+  double tue() const {
+    return cloudsync::tue(total_traffic(), data_update_bytes);
+  }
+
+  bool operator==(const experiment_identity&) const = default;
 };
-crash_run_result run_crash_experiment(const experiment_config& cfg,
-                                      std::size_t files,
-                                      std::uint64_t file_bytes);
+
+/// The one result of every packaged experiment: the identity part plus what
+/// each subsystem observed. The scheduler and cache fields read zero while
+/// cfg.transfer and cfg.cache_tier are off; the selector counts picks in
+/// every cfg.protocol mode.
+struct experiment_result : experiment_identity {
+  transfer_stats sched;  ///< the live client's parallel transfer scheduler
+  std::vector<connection_stats> per_connection;
+  protocol_selector_stats selector;  ///< the live client's protocol picks
+  block_cache_stats cache;
+  std::uint64_t resident_blocks = 0;  ///< end-of-run cache gauges
+  std::uint64_t resident_bytes = 0;
+  std::uint64_t pinned_paths = 0;
+  std::uint64_t tracked_paths = 0;
+
+  const experiment_identity& identity() const { return *this; }
+
+  bool operator==(const experiment_result&) const = default;
+};
+
+/// The invariant suite over a quiescent station: convergence and meter
+/// conservation always; journal quiescence and no duplicate commit when the
+/// env journals (those two read the journal). See core/invariants.hpp.
+invariant_report check_invariants(const experiment_env& env,
+                                  const station& st);
+
+/// Experiment 6/7: the "X KB / X sec" appending experiment. Creates an
+/// empty file and lets it sync, then appends `append_kb` random KB every
+/// `period_sec` until `total_bytes` have been appended, and settles. Traffic
+/// and counters are measured from after the empty file synced.
+experiment_result run_append_experiment(const experiment_config& cfg,
+                                        double append_kb, double period_sec,
+                                        std::uint64_t total_bytes);
+
+/// Robustness experiment: create `files` distinct compressed files (spaced
+/// so each syncs as its own commit), then flip one random byte in each —
+/// the full-upload and delta-sync paths under the config's fault plan.
+/// With cfg.journal the uploads ship through resumable sessions and the
+/// plan's crashes are armed: clients die at kill sites, restart, and
+/// recover. Every incarnation's traffic counts. After quiescence the
+/// invariant suite runs; a violation is a bug, not a measurement.
+experiment_result run_create_modify_experiment(const experiment_config& cfg,
+                                               std::size_t files,
+                                               std::uint64_t file_bytes);
 
 /// Tail-delay experiment for the parallel transfer scheduler: `files`
 /// incompressible files are created and then fully rewritten, one
@@ -259,26 +267,9 @@ crash_run_result run_crash_experiment(const experiment_config& cfg,
 /// idle) becomes one sample of the delay distribution — the p99 of these is
 /// what FEC striping and hedging buy — and the traffic meters split the cost
 /// into payload, retry (reactive) and redundancy (proactive) bytes.
-struct transfer_run_result {
-  std::vector<double> delay_samples_sec;  ///< one per transaction, in order
-  std::uint64_t total_traffic = 0;
-  std::uint64_t payload_traffic = 0;
-  std::uint64_t retry_traffic = 0;
-  std::uint64_t redundancy_traffic = 0;
-  std::uint64_t resume_traffic = 0;
-  std::uint64_t data_update_bytes = 0;
-  double tue = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t requeues = 0;
-  std::uint64_t fallbacks = 0;
-  std::uint64_t faults_injected = 0;  ///< all fault domains
-  /// Scheduler observability (zeros when cfg.transfer is disabled).
-  transfer_stats sched;
-  std::vector<connection_stats> per_connection;
-};
-transfer_run_result run_transfer_experiment(const experiment_config& cfg,
-                                            std::size_t files,
-                                            std::uint64_t file_bytes);
+experiment_result run_transfer_experiment(const experiment_config& cfg,
+                                          std::size_t files,
+                                          std::uint64_t file_bytes);
 
 /// Protocol-selection experiment (bench/protocol_selector_report): one
 /// deterministic trace workload replayed under cfg.protocol's selection
@@ -298,22 +289,10 @@ enum class protocol_workload : std::uint8_t {
 };
 const char* to_string(protocol_workload wl);
 
-struct protocol_run_result {
-  /// Aggregate meter — the per-(direction, category) identity object the
-  /// bench's forced-vs-legacy and thread-determinism legs compare.
-  traffic_meter meter;
-  std::uint64_t total_traffic = 0;
-  std::uint64_t data_update_bytes = 0;
-  double tue = 0;
-  std::uint64_t commits = 0;
-  /// Selector observability: pick counts, calibration corrections, and the
-  /// predicted-vs-actual error distribution (empty outside adaptive mode).
-  protocol_selector_stats selector;
-};
-protocol_run_result run_protocol_experiment(const experiment_config& cfg,
-                                            protocol_workload wl,
-                                            std::size_t files,
-                                            std::uint64_t file_bytes);
+experiment_result run_protocol_experiment(const experiment_config& cfg,
+                                          protocol_workload wl,
+                                          std::size_t files,
+                                          std::uint64_t file_bytes);
 
 /// Limited-disk cache-tier experiment (bench/cache_tier_report): one
 /// deterministic workload driven through a station whose client has a
@@ -336,28 +315,11 @@ enum class cache_workload : std::uint8_t {
 };
 const char* to_string(cache_workload wl);
 
-struct cache_run_result {
-  /// Aggregate meter — the per-(direction, category) identity object the
-  /// bench's uncapped-vs-cacheless and thread-determinism legs compare.
-  traffic_meter meter;
-  std::uint64_t total_traffic = 0;
-  std::uint64_t rehydrate_traffic = 0;  ///< traffic_category::rehydrate share
-  std::uint64_t data_update_bytes = 0;
-  double tue = 0;
-  double hit_ratio = 0;  ///< block reads served from residency
-  std::uint64_t commits = 0;
-  /// Cache observability (all zeros for the cacheless baseline).
-  block_cache_stats cache;
-  std::uint64_t resident_blocks = 0;  ///< end-of-run gauges
-  std::uint64_t resident_bytes = 0;
-  std::uint64_t pinned_paths = 0;
-  std::uint64_t tracked_paths = 0;
-};
 /// `pin_first` pins the first N file paths after the creation phase —
 /// eviction must route around them (tools/cache_stats --pin).
-cache_run_result run_cache_experiment(const experiment_config& cfg,
-                                      cache_workload wl, std::size_t files,
-                                      std::uint64_t file_bytes,
-                                      std::size_t pin_first = 0);
+experiment_result run_cache_experiment(const experiment_config& cfg,
+                                       cache_workload wl, std::size_t files,
+                                       std::uint64_t file_bytes,
+                                       std::size_t pin_first = 0);
 
 }  // namespace cloudsync

@@ -136,7 +136,7 @@ fleet_service_report replay_service(const service_profile& profile,
   running_stats staleness;
   for (const auto& [user, st] : stations) {
     report.sync_traffic += st->client->meter().total();
-    report.commits += st->client->commit_count();
+    report.commits += st->client->counters().commits;
     up_bytes += st->client->meter().total(direction::up);
     down_bytes += st->client->meter().total(direction::down);
     const running_stats& s = st->client->staleness_sec();

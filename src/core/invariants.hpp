@@ -41,6 +41,8 @@ struct invariant_report {
   void fail(std::string what) { violations.push_back(std::move(what)); }
   /// One line per violation, or "all invariants hold".
   std::string summary() const;
+
+  bool operator==(const invariant_report&) const = default;
 };
 
 /// Client files == cloud objects: same live paths, byte-identical content.

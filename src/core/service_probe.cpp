@@ -17,7 +17,7 @@ bool stream_fully_batched(const experiment_config& cfg, double period_sec) {
   station& st = env.primary();
   st.fs.create("probe/defer.dat", byte_buffer{}, env.clock().now());
   env.settle();
-  const std::uint64_t before = st.client->commit_count();
+  const std::uint64_t before = st.client->counters().commits;
   for (int i = 1; i <= 16; ++i) {
     env.clock().schedule_at(
         sim_time::from_sec(10.0 + period_sec * i), [&env, &st] {
@@ -26,7 +26,7 @@ bool stream_fully_batched(const experiment_config& cfg, double period_sec) {
         });
   }
   env.settle();
-  return st.client->commit_count() - before <= 1;
+  return st.client->counters().commits - before <= 1;
 }
 
 }  // namespace

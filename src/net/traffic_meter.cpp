@@ -63,14 +63,16 @@ void traffic_meter::add(const traffic_meter& other) {
 
 traffic_meter::snapshot traffic_meter::snap() const { return {counters_}; }
 
-std::uint64_t traffic_meter::total_since(const snapshot& since) const {
-  std::uint64_t t = 0;
+traffic_meter traffic_meter::since(const snapshot& snap) const {
+  traffic_meter delta;
   for (std::size_t i = 0; i < counters_.size(); ++i) {
     // A reset() after the snapshot leaves counters below their snapshot
     // values; clamp instead of letting the unsigned subtraction wrap.
-    if (counters_[i] > since.counters[i]) t += counters_[i] - since.counters[i];
+    if (counters_[i] > snap.counters[i]) {
+      delta.counters_[i] = counters_[i] - snap.counters[i];
+    }
   }
-  return t;
+  return delta;
 }
 
 std::string traffic_meter::summary() const {

@@ -61,10 +61,16 @@ class traffic_meter {
         counters{};
   };
   snapshot snap() const;
-  /// Total bytes accumulated since `since` (all categories/directions).
-  /// A snapshot taken before a reset() is stale: each counter delta is
-  /// clamped at zero rather than wrapping to ~2^64.
-  std::uint64_t total_since(const snapshot& since) const;
+  /// The bytes accumulated since `snap`, per (direction, category). A
+  /// snapshot taken before a reset() is stale: each counter delta is clamped
+  /// at zero rather than wrapping to ~2^64.
+  traffic_meter since(const snapshot& snap) const;
+  /// Total bytes accumulated since `snap` (all categories/directions).
+  std::uint64_t total_since(const snapshot& snap) const {
+    return since(snap).total();
+  }
+
+  bool operator==(const traffic_meter&) const = default;
 
   std::string summary() const;
 

@@ -119,6 +119,8 @@ struct connection_stats {
                             static_cast<double>(dispatches)
                       : 0.0;
   }
+
+  bool operator==(const connection_stats&) const = default;
 };
 
 struct transfer_stats {
@@ -138,6 +140,8 @@ struct transfer_stats {
   int last_connections = 1;
   int last_parity = 0;
   sim_time last_hedge_timeout{};
+
+  bool operator==(const transfer_stats&) const = default;
 };
 
 /// Result of one striped send.

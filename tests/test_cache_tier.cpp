@@ -33,31 +33,6 @@ experiment_config tier_cfg(std::uint64_t capacity,
   return cfg;
 }
 
-bool same_meter(const traffic_meter& a, const traffic_meter& b) {
-  for (int d = 0; d < 2; ++d) {
-    for (std::size_t c = 0;
-         c < static_cast<std::size_t>(traffic_category::kCount); ++c) {
-      const auto dir = static_cast<direction>(d);
-      const auto cat = static_cast<traffic_category>(c);
-      if (a.get(dir, cat) != b.get(dir, cat)) return false;
-    }
-  }
-  return true;
-}
-
-invariant_report check_all(experiment_env& env, station& st) {
-  invariant_report report;
-  check_convergence(st.fs, env.the_cloud(), st.user, report);
-  check_journal_quiescent(st.journal, env.the_cloud(), report);
-  check_no_duplicate_commits(st.journal, env.the_cloud(), st.user, report);
-  const traffic_meter aggregate = st.aggregate_meter();
-  std::vector<const traffic_meter*> parts;
-  for (const traffic_meter& m : st.retired_meters) parts.push_back(&m);
-  if (st.client) parts.push_back(&st.client->meter());
-  check_meter_conservation(aggregate, parts, report);
-  return report;
-}
-
 // ---------------------------------------------------------------------------
 // Uncapped identity: the tier is invisible until capacity forces its hand.
 // ---------------------------------------------------------------------------
@@ -65,20 +40,19 @@ invariant_report check_all(experiment_env& env, station& st) {
 TEST(BlockCacheTier, UncappedWriteThroughIsByteIdenticalToCacheless) {
   experiment_config cacheless{dropbox()};
   cacheless.method = access_method::pc_client;
-  const cache_run_result base = run_cache_experiment(
+  const experiment_result base = run_cache_experiment(
       cacheless, cache_workload::looping_scan, 6, 32 * KiB);
   for (const cache_eviction policy : {cache_eviction::lru,
                                       cache_eviction::arc}) {
     SCOPED_TRACE(to_string(policy));
-    const cache_run_result cached = run_cache_experiment(
+    const experiment_result cached = run_cache_experiment(
         tier_cfg(0, policy), cache_workload::looping_scan, 6, 32 * KiB);
-    EXPECT_TRUE(same_meter(base.meter, cached.meter));
-    EXPECT_EQ(base.total_traffic, cached.total_traffic);
-    EXPECT_EQ(base.commits, cached.commits);
+    // Everything on the wire and in sim time matches the cacheless run.
+    EXPECT_TRUE(base.identity() == cached.identity());
     // An uncapped cache never misses after install and never rehydrates.
-    EXPECT_EQ(cached.rehydrate_traffic, 0u);
+    EXPECT_EQ(cached.meter.by_category(traffic_category::rehydrate), 0u);
     EXPECT_EQ(cached.cache.evictions, 0u);
-    EXPECT_DOUBLE_EQ(cached.hit_ratio, 1.0);
+    EXPECT_DOUBLE_EQ(cached.cache.hit_ratio(), 1.0);
   }
 }
 
@@ -158,9 +132,8 @@ TEST(BlockCacheTier, ColdReadRehydratesAndMetersTraffic) {
 TEST(BlockCacheTier, CachelessRunNeverMetersRehydrate) {
   experiment_config cfg{dropbox()};
   cfg.method = access_method::pc_client;
-  const cache_run_result r = run_cache_experiment(
+  const experiment_result r = run_cache_experiment(
       cfg, cache_workload::looping_scan, 4, 32 * KiB);
-  EXPECT_EQ(r.rehydrate_traffic, 0u);
   EXPECT_EQ(r.meter.by_category(traffic_category::rehydrate), 0u);
 }
 
@@ -208,10 +181,10 @@ TEST(BlockCacheTier, WriteBackCoalescesAndBeatsWriteThrough) {
     return run_cache_experiment(cfg, cache_workload::frequent_mods, 4,
                                 32 * KiB);
   };
-  const cache_run_result wt = run(cache_write_mode::write_through);
-  const cache_run_result wb = run(cache_write_mode::write_back);
-  EXPECT_LT(wb.commits, wt.commits);
-  EXPECT_LT(wb.tue, wt.tue);
+  const experiment_result wt = run(cache_write_mode::write_through);
+  const experiment_result wb = run(cache_write_mode::write_back);
+  EXPECT_LT(wb.counters.commits, wt.counters.commits);
+  EXPECT_LT(wb.tue(), wt.tue());
   EXPECT_GT(wb.cache.dirty_coalesced, 0u);
   EXPECT_GT(wb.cache.flushes, 0u);
 }
@@ -260,7 +233,7 @@ TEST_P(BlockCacheCrash, WriteBackFlushCrashRecoversWithoutLossOrDuplication) {
             to_string(st.fs.read("wb/doc")));
   // No duplicated dirty blocks: the journal records exactly one commit per
   // transaction (check_no_duplicate_commits), and nothing is left queued.
-  const invariant_report report = check_all(env, st);
+  const invariant_report report = check_invariants(env, st);
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(st.client->write_back_pending(), 0u);
   EXPECT_EQ(st.cache->dirty_blocks(), 0u);
@@ -311,7 +284,7 @@ TEST(BlockCacheConcurrent, ParallelWriteBackEnvsAreIndependent) {
   // owns its world; the content store and memo caches are the only shared
   // state). Run under tsan in CI; identical results prove independence.
   constexpr std::size_t kRuns = 4;
-  std::vector<cache_run_result> results(kRuns);
+  std::vector<experiment_result> results(kRuns);
   parallel_runner pool(4);
   pool.run_indexed(kRuns, [&](std::size_t i) {
     results[i] = run_cache_experiment(
@@ -320,11 +293,7 @@ TEST(BlockCacheConcurrent, ParallelWriteBackEnvsAreIndependent) {
         cache_workload::frequent_mods, 4, 32 * KiB);
   });
   for (std::size_t i = 1; i < kRuns; ++i) {
-    EXPECT_TRUE(same_meter(results[0].meter, results[i].meter)) << i;
-    EXPECT_EQ(results[0].commits, results[i].commits) << i;
-    EXPECT_EQ(results[0].cache.hits, results[i].cache.hits) << i;
-    EXPECT_EQ(results[0].cache.dirty_marked, results[i].cache.dirty_marked)
-        << i;
+    EXPECT_TRUE(results[0] == results[i]) << i;
   }
 }
 
@@ -335,10 +304,10 @@ TEST(BlockCacheConcurrent, ParallelWriteBackEnvsAreIndependent) {
 TEST(BlockCacheTier, HitRatioGrowsWithCapacityUnderLru) {
   double prev = -1.0;
   for (const std::uint64_t cap : {48 * KiB, 96 * KiB, 0 * KiB}) {
-    const cache_run_result r = run_cache_experiment(
+    const experiment_result r = run_cache_experiment(
         tier_cfg(cap), cache_workload::looping_scan, 6, 32 * KiB);
-    EXPECT_GE(r.hit_ratio + 1e-12, prev) << "capacity " << cap;
-    prev = r.hit_ratio;
+    EXPECT_GE(r.cache.hit_ratio() + 1e-12, prev) << "capacity " << cap;
+    prev = r.cache.hit_ratio();
   }
 }
 

@@ -23,21 +23,6 @@ experiment_config crash_cfg(bool resume, std::size_t chunk_bytes = 64 * KiB) {
   return cfg;
 }
 
-/// Run the full invariant suite for a single-station env and return the
-/// report (the per-incarnation meters prove byte conservation).
-invariant_report check_all(experiment_env& env, station& st) {
-  invariant_report report;
-  check_convergence(st.fs, env.the_cloud(), st.user, report);
-  check_journal_quiescent(st.journal, env.the_cloud(), report);
-  check_no_duplicate_commits(st.journal, env.the_cloud(), st.user, report);
-  const traffic_meter aggregate = st.aggregate_meter();
-  std::vector<const traffic_meter*> parts;
-  for (const traffic_meter& m : st.retired_meters) parts.push_back(&m);
-  if (st.client) parts.push_back(&st.client->meter());
-  check_meter_conservation(aggregate, parts, report);
-  return report;
-}
-
 // ---------------------------------------------------------------------------
 // Kill-site matrix: every site × {resume on, off} reconverges cleanly.
 // ---------------------------------------------------------------------------
@@ -77,20 +62,20 @@ TEST_P(CrashKillSite, CreationRecoversAndConverges) {
   EXPECT_EQ(to_string(*env.the_cloud().file_content(0, "kill/file")),
             to_string(st.fs.read("kill/file")));
   // ...and the full invariant suite holds.
-  const invariant_report report = check_all(env, st);
+  const invariant_report report = check_invariants(env, st);
   EXPECT_TRUE(report.ok()) << report.summary();
 
   // Disposition: an in-flight session resumes only when resume is on; a
   // crash before the session opened (after_plan) leaves nothing to resume
   // and the startup rescan re-queues the path.
   if (cc.site == crash_site::after_plan) {
-    EXPECT_EQ(st.total_resumes(), 0u);
+    EXPECT_EQ(st.aggregate_counters().resumes, 0u);
   } else if (cc.resume) {
-    EXPECT_EQ(st.total_resumes(), 1u);
-    EXPECT_EQ(st.total_recovery_restarts(), 0u);
+    EXPECT_EQ(st.aggregate_counters().resumes, 1u);
+    EXPECT_EQ(st.aggregate_counters().recovery_restarts, 0u);
   } else {
-    EXPECT_EQ(st.total_resumes(), 0u);
-    EXPECT_EQ(st.total_recovery_restarts(), 1u);
+    EXPECT_EQ(st.aggregate_counters().resumes, 0u);
+    EXPECT_EQ(st.aggregate_counters().recovery_restarts, 1u);
   }
   // Recovery left no open session behind either way.
   EXPECT_EQ(env.the_cloud().open_session_count(), 0u);
@@ -119,7 +104,7 @@ std::uint64_t crashed_creation_traffic(bool resume, crash_site site,
   st.fs.create("kill/file", env.gen_compressed(256 * KiB), env.clock().now());
   env.settle();
   EXPECT_EQ(st.crashes, 1u);
-  EXPECT_TRUE(check_all(env, st).ok());
+  EXPECT_TRUE(check_invariants(env, st).ok());
   return st.aggregate_meter().total();
 }
 
@@ -177,10 +162,10 @@ TEST(CrashResume, DeltaUploadResumesMidChunk) {
   env.settle();
 
   EXPECT_EQ(st.crashes, 1u);
-  EXPECT_EQ(st.total_resumes(), 1u);
+  EXPECT_EQ(st.aggregate_counters().resumes, 1u);
   EXPECT_EQ(to_string(*env.the_cloud().file_content(0, "kill/delta")),
             to_string(st.fs.read("kill/delta")));
-  const invariant_report report = check_all(env, st);
+  const invariant_report report = check_invariants(env, st);
   EXPECT_TRUE(report.ok()) << report.summary();
 }
 
@@ -203,10 +188,11 @@ TEST(CrashResume, LocalEditDuringCrashDiscardsStaleSession) {
   env.settle();
 
   EXPECT_EQ(st.crashes, 1u);
-  EXPECT_EQ(st.total_resumes(), 0u);  // stale plan — nothing safe to resume
+  // Stale plan: nothing safe to resume.
+  EXPECT_EQ(st.aggregate_counters().resumes, 0u);
   EXPECT_EQ(to_string(*env.the_cloud().file_content(0, "kill/file")),
             to_string(st.fs.read("kill/file")));
-  const invariant_report report = check_all(env, st);
+  const invariant_report report = check_invariants(env, st);
   EXPECT_TRUE(report.ok()) << report.summary();
 }
 
@@ -215,35 +201,23 @@ TEST(CrashResume, LocalEditDuringCrashDiscardsStaleSession) {
 // recover → maybe crash again) terminates, converges, and is deterministic.
 // ---------------------------------------------------------------------------
 
-bool same(const crash_run_result& a, const crash_run_result& b) {
-  return a.total_traffic == b.total_traffic &&
-         a.resume_traffic == b.resume_traffic &&
-         a.retry_traffic == b.retry_traffic && a.tue == b.tue &&
-         a.completion_sec == b.completion_sec && a.crashes == b.crashes &&
-         a.resumes == b.resumes &&
-         a.recovery_restarts == b.recovery_restarts &&
-         a.journal_begun == b.journal_begun &&
-         a.journal_committed == b.journal_committed &&
-         a.journal_aborted == b.journal_aborted;
-}
-
 TEST(CrashExperiment, SampledCrashesConvergeAndAreDeterministic) {
   experiment_config cfg = crash_cfg(true);
   cfg.faults = fault_plan::crashes(0.2, /*seed=*/7);
   cfg.seed = 99;
 
-  const crash_run_result a = run_crash_experiment(cfg, 4, 128 * KiB);
+  const experiment_result a = run_create_modify_experiment(cfg, 4, 128 * KiB);
   EXPECT_GT(a.crashes, 0u);  // a 20% per-site schedule must hit something
   EXPECT_TRUE(a.invariants.ok()) << a.invariants.summary();
   EXPECT_EQ(a.journal_begun,
             a.journal_committed + a.journal_aborted +
                 (a.journal_begun - a.journal_committed - a.journal_aborted))
       << "counter sanity";
-  EXPECT_GT(a.resumes + a.recovery_restarts, 0u);
-  EXPECT_GT(a.resume_traffic, 0u);
+  EXPECT_GT(a.counters.resumes + a.counters.recovery_restarts, 0u);
+  EXPECT_GT(a.meter.by_category(traffic_category::resume), 0u);
 
-  const crash_run_result b = run_crash_experiment(cfg, 4, 128 * KiB);
-  EXPECT_TRUE(same(a, b));
+  const experiment_result b = run_create_modify_experiment(cfg, 4, 128 * KiB);
+  EXPECT_TRUE(a == b);
 }
 
 TEST(CrashExperiment, ComposedTransientAndCrashPlanStillConverges) {
@@ -254,7 +228,7 @@ TEST(CrashExperiment, ComposedTransientAndCrashPlanStillConverges) {
                                   fault_plan::crashes(0.15, /*seed=*/5));
   cfg.seed = 42;
 
-  const crash_run_result res = run_crash_experiment(cfg, 3, 128 * KiB);
+  const experiment_result res = run_create_modify_experiment(cfg, 3, 128 * KiB);
   EXPECT_TRUE(res.invariants.ok()) << res.invariants.summary();
   EXPECT_GT(res.crashes, 0u);
 }
@@ -311,7 +285,7 @@ TEST(JournalAbort, GiveUpLeavesAbortedRecordUntilRetry) {
   EXPECT_EQ(st.journal.open_records().size(), 0u);
   EXPECT_EQ(to_string(*env.the_cloud().file_content(0, "stubborn")),
             to_string(st.fs.read("stubborn")));
-  const invariant_report report = check_all(env, st);
+  const invariant_report report = check_invariants(env, st);
   EXPECT_TRUE(report.ok()) << report.summary();
 }
 

@@ -2,7 +2,11 @@
 // reproduces the *shape* of the corresponding published result.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "core/experiment.hpp"
+#include "core/parallel_runner.hpp"
 
 namespace cloudsync {
 namespace {
@@ -229,8 +233,8 @@ TEST(Exp6FrequentMods, FullFileNoDeferOveruses) {
   // processing): every append re-uploads the whole growing file.
   const auto res =
       run_append_experiment(cfg_for(box()), 4.0, 8.0, 128 * KiB);
-  EXPECT_GT(res.tue, 10.0);
-  EXPECT_GT(res.commits, 20u);
+  EXPECT_GT(res.tue(), 10.0);
+  EXPECT_GT(res.counters.commits, 20u);
 }
 
 TEST(Exp6FrequentMods, IdsKeepsTueModerate) {
@@ -238,7 +242,7 @@ TEST(Exp6FrequentMods, IdsKeepsTueModerate) {
       run_append_experiment(cfg_for(box()), 4.0, 8.0, 128 * KiB);
   const auto db_res =
       run_append_experiment(cfg_for(dropbox()), 4.0, 8.0, 128 * KiB);
-  EXPECT_LT(db_res.tue, box_res.tue);
+  EXPECT_LT(db_res.tue(), box_res.tue());
 }
 
 TEST(Exp6FrequentMods, FixedDeferAbsorbsFastUpdates) {
@@ -246,8 +250,8 @@ TEST(Exp6FrequentMods, FixedDeferAbsorbsFastUpdates) {
   // nearly everything batches into one sync — TUE ≈ 1.
   const auto res =
       run_append_experiment(cfg_for(google_drive()), 2.0, 2.0, 64 * KiB);
-  EXPECT_LT(res.tue, 3.0);
-  EXPECT_LE(res.commits, 3u);
+  EXPECT_LT(res.tue(), 3.0);
+  EXPECT_LE(res.counters.commits, 3u);
 }
 
 TEST(Exp6FrequentMods, FixedDeferFailsBeyondT) {
@@ -256,7 +260,7 @@ TEST(Exp6FrequentMods, FixedDeferFailsBeyondT) {
       run_append_experiment(cfg_for(google_drive()), 2.0, 2.0, 64 * KiB);
   const auto slow =
       run_append_experiment(cfg_for(google_drive()), 6.0, 6.0, 64 * KiB);
-  EXPECT_GT(slow.tue, fast.tue * 3);
+  EXPECT_GT(slow.tue(), fast.tue() * 3);
 }
 
 TEST(Exp6FrequentMods, AsdKeepsTueNearOneEverywhere) {
@@ -266,7 +270,7 @@ TEST(Exp6FrequentMods, AsdKeepsTueNearOneEverywhere) {
   for (double x : {2.0, 6.0, 10.0}) {
     const auto res =
         run_append_experiment(cfg_for(gd_asd), x, x, 64 * KiB);
-    EXPECT_LT(res.tue, 4.0) << "X=" << x;
+    EXPECT_LT(res.tue(), 4.0) << "X=" << x;
   }
 }
 
@@ -278,8 +282,8 @@ TEST(Exp7Network, PoorNetworkSavesTraffic) {
   bj.link = link_config::beijing();
   const auto mn_res = run_append_experiment(mn, 1.0, 1.0, 64 * KiB);
   const auto bj_res = run_append_experiment(bj, 1.0, 1.0, 64 * KiB);
-  EXPECT_LT(bj_res.tue, mn_res.tue);
-  EXPECT_LT(bj_res.commits, mn_res.commits);
+  EXPECT_LT(bj_res.tue(), mn_res.tue());
+  EXPECT_LT(bj_res.counters.commits, mn_res.counters.commits);
 }
 
 TEST(Exp7Network, SimpleOperationsUnaffectedByNetwork) {
@@ -301,8 +305,8 @@ TEST(Exp7Hardware, SlowerHardwareSavesTraffic) {
   // Sub-second modification stream: M2's ~0.5 s indexing batches it.
   const auto fast_res = run_append_experiment(fast, 0.4, 0.4, 128 * KiB);
   const auto slow_res = run_append_experiment(slow, 0.4, 0.4, 128 * KiB);
-  EXPECT_LT(slow_res.commits, fast_res.commits);
-  EXPECT_LT(slow_res.total_traffic, fast_res.total_traffic);
+  EXPECT_LT(slow_res.counters.commits, fast_res.counters.commits);
+  EXPECT_LT(slow_res.total_traffic(), fast_res.total_traffic());
 }
 
 TEST(Exp7Bandwidth, HigherBandwidthMeansHigherTue) {
@@ -312,7 +316,7 @@ TEST(Exp7Bandwidth, HigherBandwidthMeansHigherTue) {
   hi.link.up_bytes_per_sec = mbps_to_bytes_per_sec(20.0);
   const auto lo_res = run_append_experiment(lo, 1.0, 1.0, 128 * KiB);
   const auto hi_res = run_append_experiment(hi, 1.0, 1.0, 128 * KiB);
-  EXPECT_GE(hi_res.tue, lo_res.tue);
+  EXPECT_GE(hi_res.tue(), lo_res.tue());
 }
 
 TEST(Exp7Latency, LongerLatencyMeansLowerTue) {
@@ -322,7 +326,54 @@ TEST(Exp7Latency, LongerLatencyMeansLowerTue) {
   far.link.rtt = sim_time::from_msec(1000);
   const auto near_res = run_append_experiment(near, 0.5, 0.5, 128 * KiB);
   const auto far_res = run_append_experiment(far, 0.5, 0.5, 128 * KiB);
-  EXPECT_LE(far_res.tue, near_res.tue);
+  EXPECT_LE(far_res.tue(), near_res.tue());
+}
+
+// --- Determinism across grid threads -----------------------------------------
+
+// The create-then-modify and append workloads are functions of their config
+// alone: one grid evaluated on 1 and on 4 parallel_runner threads yields the
+// same whole result in every cell (the tsan preset runs this too).
+TEST(PackagedExperiments, ResultsIdenticalAcrossThreadCounts) {
+  experiment_config degraded = cfg_for(dropbox());
+  degraded.link = link_config::beijing();
+  degraded.faults = fault_plan::degraded(0.5);
+
+  experiment_config crashing = cfg_for(dropbox());
+  crashing.journal = true;
+  crashing.seed = 99;
+  crashing.faults = fault_plan::merged(fault_plan::degraded(0.3, /*seed=*/11),
+                                       fault_plan::crashes(0.2, /*seed=*/7));
+
+  const struct {
+    const char* name;
+    std::function<experiment_result()> run;
+  } cells[] = {
+      {"create_modify_degraded",
+       [&] { return run_create_modify_experiment(degraded, 4, 128 * KiB); }},
+      {"create_modify_crashing",
+       [&] { return run_create_modify_experiment(crashing, 4, 128 * KiB); }},
+      {"append",
+       [] {
+         return run_append_experiment(cfg_for(dropbox()), 1.0, 1.0, 64 * KiB);
+       }},
+  };
+  const auto evaluate = [&](unsigned threads) {
+    std::vector<experiment_result> out(std::size(cells));
+    parallel_runner pool(threads);
+    pool.run_indexed(std::size(cells),
+                     [&](std::size_t i) { out[i] = cells[i].run(); });
+    return out;
+  };
+  const std::vector<experiment_result> serial = evaluate(1);
+  const std::vector<experiment_result> parallel = evaluate(4);
+  for (std::size_t i = 0; i < std::size(cells); ++i) {
+    SCOPED_TRACE(cells[i].name);
+    EXPECT_TRUE(serial[i] == parallel[i]);
+    EXPECT_TRUE(serial[i].invariants.ok()) << serial[i].invariants.summary();
+  }
+  // The crashing cell really crashed and recovered.
+  EXPECT_GT(serial[1].crashes, 0u);
 }
 
 }  // namespace

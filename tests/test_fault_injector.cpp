@@ -391,20 +391,13 @@ TEST(SyncWithFaults, WiredButDisabledInjectorIsByteIdentical) {
   plain.run_workload();
   wired.run_workload();
 
-  for (const direction d : {direction::up, direction::down}) {
-    for (int c = 0; c < static_cast<int>(traffic_category::kCount); ++c) {
-      const auto cat = static_cast<traffic_category>(c);
-      EXPECT_EQ(plain.client->meter().get(d, cat),
-                wired.client->meter().get(d, cat))
-          << "direction " << static_cast<int>(d) << " category "
-          << to_string(cat);
-    }
-  }
+  EXPECT_TRUE(plain.client->meter() == wired.client->meter())
+      << "plain:\n" << plain.client->meter().summary() << "wired:\n"
+      << wired.client->meter().summary();
   EXPECT_EQ(plain.client->busy_until(), wired.client->busy_until());
-  EXPECT_EQ(plain.client->commit_count(), wired.client->commit_count());
+  EXPECT_TRUE(plain.client->counters() == wired.client->counters());
   EXPECT_EQ(plain.client->handshake_count(), wired.client->handshake_count());
-  EXPECT_EQ(plain.client->exchange_count(), wired.client->exchange_count());
-  EXPECT_EQ(wired.client->retry_count(), 0u);
+  EXPECT_EQ(wired.client->counters().retries, 0u);
   EXPECT_EQ(inert.injected_total(), 0u);
 }
 
@@ -421,9 +414,9 @@ TEST(SyncWithFaults, ExchangeFaultsRetryUntilSuccess) {
   env.settle();
 
   // Both connection resets were retried within the same transaction.
-  EXPECT_EQ(st.client->retry_count(), 2u);
-  EXPECT_EQ(st.client->requeue_count(), 0u);
-  EXPECT_EQ(st.client->fallback_count(), 0u);
+  EXPECT_EQ(st.client->counters().retries, 2u);
+  EXPECT_EQ(st.client->counters().requeues, 0u);
+  EXPECT_EQ(st.client->counters().fallbacks, 0u);
   EXPECT_EQ(env.faults().injected(fault_kind::connection_reset), 2u);
   // The wasted control segments were metered as retry traffic.
   EXPECT_GT(st.client->meter().by_category(traffic_category::retry), 0u);
@@ -448,9 +441,9 @@ TEST(SyncWithFaults, ServerRejectionsFallBackToFullUpload) {
   modify_random_byte(st.fs, "big", env.random(), env.clock().now());
   env.settle();
 
-  EXPECT_EQ(st.client->fallback_count(), 1u);
-  EXPECT_GE(st.client->retry_count(), 2u);
-  EXPECT_EQ(st.client->requeue_count(), 0u);
+  EXPECT_EQ(st.client->counters().fallbacks, 1u);
+  EXPECT_GE(st.client->counters().retries, 2u);
+  EXPECT_EQ(st.client->counters().requeues, 0u);
   // A one-byte edit normally ships one ~10 KB chunk; the fallback re-ships
   // the whole (incompressible) file.
   EXPECT_GT(experiment_env::traffic_since(st, snap), 200 * KiB);
@@ -469,8 +462,8 @@ TEST(SyncWithFaults, GiveUpRequeuesAndEventuallySyncs) {
   st.fs.create("stubborn", patterned(32 * KiB), env.clock().now());
   env.settle();
 
-  EXPECT_EQ(st.client->retry_count(), 12u);
-  EXPECT_EQ(st.client->requeue_count(), 2u);
+  EXPECT_EQ(st.client->counters().retries, 12u);
+  EXPECT_EQ(st.client->counters().requeues, 2u);
   ASSERT_TRUE(env.the_cloud().file_content(0, "stubborn").has_value());
   EXPECT_EQ(to_string(*env.the_cloud().file_content(0, "stubborn")),
             to_string(st.fs.read("stubborn")));
@@ -490,7 +483,7 @@ TEST(SyncWithFaults, PollFailureLeavesQueueIntact) {
   // survive untouched.
   env.faults().force_server_failures(1);
   EXPECT_EQ(b.client->poll_remote_changes(), 0u);
-  EXPECT_EQ(b.client->poll_failure_count(), 1u);
+  EXPECT_EQ(b.client->counters().poll_failures, 1u);
   EXPECT_FALSE(b.fs.exists("shared/doc"));
   EXPECT_GT(b.client->meter().by_category(traffic_category::retry), 0u);
 

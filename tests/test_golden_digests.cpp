@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -67,6 +69,10 @@ class digest_line {
     text_ += '=';
     text_ += buf;
     return *this;
+  }
+  /// A double as its exact bit pattern.
+  digest_line& bits(const char* key, double v) {
+    return hex(key, std::bit_cast<std::uint64_t>(v));
   }
   const std::string& str() const { return text_; }
 
@@ -127,7 +133,7 @@ std::string stream_cell(service_profile profile, bool journal) {
         mix64(identity ^ env.the_cloud().file_content(0, path)->hash64());
   }
   return digest_line()
-      .num("commits", env.primary().client->commit_count())
+      .num("commits", env.primary().client->counters().commits)
       .list("meter_up_down_by_category",
             meter_cells(env.primary().client->meter()))
       .hex("identity", identity)
@@ -221,10 +227,10 @@ std::string protocol_cell() {
   experiment_config cfg{lab};
   cfg.method = access_method::pc_client;
   cfg.protocol.mode = protocol_mode::adaptive;
-  const protocol_run_result r = run_protocol_experiment(
+  const experiment_result r = run_protocol_experiment(
       cfg, protocol_workload::small_edits, 3, 32 * KiB);
   return digest_line()
-      .num("commits", r.commits)
+      .num("commits", r.counters.commits)
       .num("update_bytes", r.data_update_bytes)
       .list("meter_up_down_by_category", meter_cells(r.meter))
       .list("picks", {r.selector.picks.begin(), r.selector.picks.end()})
@@ -241,11 +247,11 @@ std::string cache_cell() {
   cfg.cache.policy = cache_eviction::arc;
   cfg.cache.write_mode = cache_write_mode::write_back;
   cfg.cache.coalesce_window = sim_time::from_sec(5.0);
-  const cache_run_result r =
+  const experiment_result r =
       run_cache_experiment(cfg, cache_workload::frequent_mods, 4, 32 * KiB);
   const block_cache_stats& c = r.cache;
   return digest_line()
-      .num("commits", r.commits)
+      .num("commits", r.counters.commits)
       .num("update_bytes", r.data_update_bytes)
       .list("meter_up_down_by_category", meter_cells(r.meter))
       .list("cache_hits_misses_evictions",
@@ -255,6 +261,123 @@ std::string cache_cell() {
       .list("cache_dirty_marked_coalesced_flushes",
             {c.dirty_marked, c.dirty_coalesced, c.flushes, c.plan_fallbacks})
       .num("resident_bytes", r.resident_bytes)
+      .str();
+}
+
+// --- the packaged experiments ------------------------------------------------
+
+/// The create-then-modify workload under transient faults, no journal.
+std::string failure_cell() {
+  experiment_config cfg{dropbox()};
+  cfg.method = access_method::pc_client;
+  cfg.link = link_config::beijing();
+  cfg.seed = 1234;
+  cfg.faults = fault_plan::degraded(0.5);
+  const experiment_result r = run_create_modify_experiment(cfg, 4, 128 * KiB);
+  const client_counters& n = r.counters;
+  return digest_line()
+      .num("total_traffic", r.total_traffic())
+      .num("retry_traffic", r.meter.by_category(traffic_category::retry))
+      .num("update_bytes", r.data_update_bytes)
+      .bits("tue", r.tue())
+      .bits("completion_sec", r.completion_sec)
+      .list("retries_requeues_fallbacks", {n.retries, n.requeues, n.fallbacks})
+      .num("faults_injected", r.faults_injected)
+      .str();
+}
+
+/// The same workload journaled, with transient faults and sampled client
+/// crashes together: every incarnation's traffic counts.
+std::string crash_cell() {
+  experiment_config cfg{dropbox()};
+  cfg.method = access_method::pc_client;
+  cfg.journal = true;
+  cfg.recovery.resume = true;
+  cfg.recovery.chunk_bytes = 64 * KiB;
+  cfg.seed = 99;
+  cfg.faults = fault_plan::merged(fault_plan::degraded(0.3, /*seed=*/11),
+                                  fault_plan::crashes(0.2, /*seed=*/7));
+  const experiment_result r = run_create_modify_experiment(cfg, 4, 128 * KiB);
+  return digest_line()
+      .num("total_traffic", r.total_traffic())
+      .num("resume_traffic", r.meter.by_category(traffic_category::resume))
+      .num("retry_traffic", r.meter.by_category(traffic_category::retry))
+      .num("update_bytes", r.data_update_bytes)
+      .bits("tue", r.tue())
+      .bits("completion_sec", r.completion_sec)
+      .num("crashes", r.crashes)
+      .list("resumes_recovery_restarts",
+            {r.counters.resumes, r.counters.recovery_restarts})
+      .list("journal_begun_committed_aborted",
+            {r.journal_begun, r.journal_committed, r.journal_aborted})
+      .num("invariant_violations", r.invariants.violations.size())
+      .str();
+}
+
+/// Striped session uploads under the adaptive scheduler on a faulty link.
+std::string transfer_cell() {
+  experiment_config cfg{dropbox()};
+  cfg.method = access_method::pc_client;
+  cfg.link = link_config::beijing();
+  cfg.seed = 4711;
+  cfg.journal = true;
+  cfg.recovery.chunk_bytes = 8 * KiB;
+  cfg.faults = fault_plan::degraded(0.6);
+  cfg.transfer.enabled = true;
+  const experiment_result r = run_transfer_experiment(cfg, 3, 96 * KiB);
+  std::vector<std::uint64_t> delays_us, dispatches, faults, busy_us;
+  for (const double s : r.delay_samples_sec) {
+    delays_us.push_back(static_cast<std::uint64_t>(std::llround(s * 1e6)));
+  }
+  for (const connection_stats& c : r.per_connection) {
+    dispatches.push_back(c.dispatches);
+    faults.push_back(c.faults);
+    busy_us.push_back(static_cast<std::uint64_t>(c.busy.usec()));
+  }
+  const transfer_stats& s = r.sched;
+  const client_counters& n = r.counters;
+  const traffic_meter& m = r.meter;
+  return digest_line()
+      .list("delay_samples_us", delays_us)
+      .num("total_traffic", r.total_traffic())
+      .list("payload_retry_redundancy_resume_traffic",
+            {m.by_category(traffic_category::payload),
+             m.by_category(traffic_category::retry),
+             m.by_category(traffic_category::redundancy),
+             m.by_category(traffic_category::resume)})
+      .num("update_bytes", r.data_update_bytes)
+      .bits("tue", r.tue())
+      .list("retries_requeues_fallbacks", {n.retries, n.requeues, n.fallbacks})
+      .num("faults_injected", r.faults_injected)
+      .list("sched_observed_decisions_escalations",
+            {s.observed_success, s.observed_faults, s.decisions,
+             s.escalations})
+      .list("sched_stripes_data_parity",
+            {s.stripes, s.data_shards, s.parity_shards})
+      .list("sched_hedges_fired_won_cancelled",
+            {s.hedges_fired, s.hedges_won, s.hedges_cancelled})
+      .list("sched_reconstructions_rounds_shard_faults",
+            {s.reconstructions, s.recovery_rounds, s.shard_faults})
+      .list("sched_last_k_r_hedge_us",
+            {static_cast<std::uint64_t>(s.last_connections),
+             static_cast<std::uint64_t>(s.last_parity),
+             static_cast<std::uint64_t>(s.last_hedge_timeout.usec())})
+      .list("conn_dispatches", dispatches)
+      .list("conn_faults", faults)
+      .list("conn_busy_us", busy_us)
+      .str();
+}
+
+/// The paper's "X KB / X sec" appending workload at 1 KB / 1 s.
+std::string append_cell() {
+  experiment_config cfg{dropbox()};
+  cfg.method = access_method::pc_client;
+  const experiment_result r = run_append_experiment(cfg, 1.0, 1.0, 64 * KiB);
+  return digest_line()
+      .num("total_traffic", r.total_traffic())
+      .num("update_bytes", r.data_update_bytes)
+      .num("commits", r.counters.commits)
+      .bits("tue", r.tue())
       .str();
 }
 
@@ -361,6 +484,10 @@ const std::vector<cell>& cells() {
       {"cache_write_back_frequent_mods", cache_cell},
       {"lzss_frames", lzss_cell},
       {"payload_generators", payload_generators_cell},
+      {"failure_degraded", failure_cell},
+      {"crash_merged_plan", crash_cell},
+      {"transfer_adaptive", transfer_cell},
+      {"append_dropbox", append_cell},
   };
   return table;
 }
@@ -453,6 +580,14 @@ TEST(GoldenDigests, WriteBackCacheFrequentMods) {
 TEST(GoldenDigests, LzssFrames) { expect_golden("lzss_frames"); }
 
 TEST(GoldenDigests, PayloadGenerators) { expect_golden("payload_generators"); }
+
+TEST(GoldenDigests, FailureDegraded) { expect_golden("failure_degraded"); }
+
+TEST(GoldenDigests, CrashMergedPlan) { expect_golden("crash_merged_plan"); }
+
+TEST(GoldenDigests, TransferAdaptive) { expect_golden("transfer_adaptive"); }
+
+TEST(GoldenDigests, AppendDropbox) { expect_golden("append_dropbox"); }
 
 }  // namespace
 }  // namespace cloudsync

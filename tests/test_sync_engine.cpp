@@ -23,7 +23,7 @@ TEST(SyncEngine, CreationReachesCloud) {
   const auto content = env.the_cloud().file_content(0, "docs/a.txt");
   ASSERT_TRUE(content.has_value());
   EXPECT_EQ(to_string(*content), "hello cloud");
-  EXPECT_EQ(st.client->commit_count(), 1u);
+  EXPECT_EQ(st.client->counters().commits, 1u);
   EXPECT_GT(st.client->meter().total(), 0u);
 }
 
@@ -205,7 +205,7 @@ TEST(SyncEngine, FixedDeferBatchesRapidUpdates) {
   station& st = env.primary();
   st.fs.create("doc", byte_buffer{}, env.clock().now());
   env.settle();
-  const std::uint64_t commits_before = st.client->commit_count();
+  const std::uint64_t commits_before = st.client->counters().commits;
 
   for (int i = 1; i <= 5; ++i) {
     env.clock().schedule_at(sim_time::from_sec(10 + i), [&] {
@@ -213,7 +213,7 @@ TEST(SyncEngine, FixedDeferBatchesRapidUpdates) {
     });
   }
   env.settle();
-  EXPECT_EQ(st.client->commit_count() - commits_before, 1u);
+  EXPECT_EQ(st.client->counters().commits - commits_before, 1u);
   EXPECT_EQ(env.the_cloud().file_content(0, "doc")->size(), 5 * 1024u);
 }
 
@@ -224,7 +224,7 @@ TEST(SyncEngine, NoDeferSyncsEachUpdate) {
   station& st = env.primary();
   st.fs.create("doc", byte_buffer{}, env.clock().now());
   env.settle();
-  const std::uint64_t commits_before = st.client->commit_count();
+  const std::uint64_t commits_before = st.client->counters().commits;
 
   for (int i = 1; i <= 5; ++i) {
     env.clock().schedule_at(sim_time::from_sec(10 + 10 * i), [&] {
@@ -232,7 +232,7 @@ TEST(SyncEngine, NoDeferSyncsEachUpdate) {
     });
   }
   env.settle();
-  EXPECT_EQ(st.client->commit_count() - commits_before, 5u);
+  EXPECT_EQ(st.client->counters().commits - commits_before, 5u);
 }
 
 TEST(SyncEngine, SlowCommitEngineBatchesFastStreams) {
@@ -241,14 +241,15 @@ TEST(SyncEngine, SlowCommitEngineBatchesFastStreams) {
   station& st = env.primary();
   st.fs.create("doc", byte_buffer{}, env.clock().now());
   env.settle();
-  const std::uint64_t commits_before = st.client->commit_count();
+  const std::uint64_t commits_before = st.client->counters().commits;
   for (int i = 1; i <= 12; ++i) {
     env.clock().schedule_at(sim_time::from_sec(30 + i), [&] {
       append_random(st.fs, "doc", env.random(), 1024, env.clock().now());
     });
   }
   env.settle();
-  const std::uint64_t commits = st.client->commit_count() - commits_before;
+  const std::uint64_t commits =
+      st.client->counters().commits - commits_before;
   EXPECT_LT(commits, 6u);
   EXPECT_GE(commits, 2u);
   EXPECT_EQ(env.the_cloud().file_content(0, "doc")->size(), 12 * 1024u);
@@ -263,7 +264,7 @@ TEST(SyncEngine, SlowNetworkBatchesNaturally) {
   station& st = env.primary();
   st.fs.create("doc", byte_buffer{}, env.clock().now());
   env.settle();
-  const std::uint64_t commits_before = st.client->commit_count();
+  const std::uint64_t commits_before = st.client->counters().commits;
 
   // 500 KB first append takes ~2.5 s at 1.6 Mbps; the next appends (1 s
   // apart) land while it is in flight.
@@ -276,7 +277,7 @@ TEST(SyncEngine, SlowNetworkBatchesNaturally) {
     });
   }
   env.settle();
-  EXPECT_LT(st.client->commit_count() - commits_before, 4u);
+  EXPECT_LT(st.client->counters().commits - commits_before, 4u);
   EXPECT_EQ(env.the_cloud().file_content(0, "doc")->size(),
             500 * KiB + 3 * 1024);
 }
@@ -308,8 +309,8 @@ TEST(SyncEngine, UdsByteCounterBatchesUntilThreshold) {
 
   experiment_config cfg = cfg_for(profile);
   const auto res = run_append_experiment(cfg, 1.0, 1.0, 64 * KiB);
-  EXPECT_LE(res.commits, 6u);
-  EXPECT_LT(res.tue, 8.0);
+  EXPECT_LE(res.counters.commits, 6u);
+  EXPECT_LT(res.tue(), 8.0);
 }
 
 TEST(SyncEngine, UdsMaxWaitBoundsLatency) {
@@ -403,7 +404,7 @@ TEST(SyncEngine, ConcurrentEditsMakeConflictedCopy) {
   desktop.client->poll_remote_changes();
   env.settle();
 
-  EXPECT_EQ(desktop.client->conflict_count(), 1u);
+  EXPECT_EQ(desktop.client->counters().conflicts, 1u);
   EXPECT_EQ(to_string(desktop.fs.read("notes.txt")), "laptop version");
   ASSERT_TRUE(desktop.fs.exists("notes.txt (conflicted copy)"));
   EXPECT_EQ(to_string(desktop.fs.read("notes.txt (conflicted copy)")),
@@ -434,7 +435,7 @@ TEST(SyncEngine, StaleBaseUploadDivertsToConflictedCopy) {
   env.settle();
 
   EXPECT_EQ(to_string(*env.the_cloud().file_content(0, "doc")), "v2 from A");
-  EXPECT_EQ(b.client->conflict_count(), 1u);
+  EXPECT_EQ(b.client->counters().conflicts, 1u);
   const auto conflict =
       env.the_cloud().file_content(0, "doc (conflicted copy)");
   ASSERT_TRUE(conflict.has_value());
@@ -457,7 +458,7 @@ TEST(SyncEngine, FreshBaseUploadOverwritesNormally) {
   b.fs.write("doc", to_buffer("v3 from B"), env.clock().now());
   env.settle();
   EXPECT_EQ(to_string(*env.the_cloud().file_content(0, "doc")), "v3 from B");
-  EXPECT_EQ(b.client->conflict_count(), 0u);
+  EXPECT_EQ(b.client->counters().conflicts, 0u);
 }
 
 TEST(SyncEngine, PeriodicPollKeepsSecondDeviceInSync) {
@@ -479,7 +480,7 @@ TEST(SyncEngine, PeriodicPollKeepsSecondDeviceInSync) {
   // covers both payloads plus the periodic poll exchanges.
   EXPECT_GT(desktop.client->meter().total(direction::down),
             std::string("first").size() + std::string("second version").size());
-  EXPECT_GT(desktop.client->exchange_count(), 10u);  // ~20 polls
+  EXPECT_GT(desktop.client->counters().exchanges, 10u);  // ~20 polls
   EXPECT_EQ(env.the_cloud().metadata().pending_notifications(
                 0, desktop.client->device()),
             0u);
@@ -492,7 +493,7 @@ TEST(SyncEngine, PeriodicPollStopsAtHorizon) {
                                   sim_time::from_sec(100));
   env.settle();
   EXPECT_LE(env.clock().now(), sim_time::from_sec(101));
-  EXPECT_LE(st.client->exchange_count(), 11u);
+  EXPECT_LE(st.client->counters().exchanges, 11u);
 }
 
 TEST(SyncEngine, WarmConnectionSkipsMeteringHandshake) {

@@ -183,11 +183,11 @@ TEST(SyncProtocol, AdaptiveExperimentCalibratesAndCommits) {
   experiment_config cfg{lab_profile()};
   cfg.method = access_method::pc_client;
   cfg.protocol.mode = protocol_mode::adaptive;
-  const protocol_run_result r = run_protocol_experiment(
+  const experiment_result r = run_protocol_experiment(
       cfg, protocol_workload::duplicate_copy, 3, 32 * KiB);
 
-  EXPECT_GT(r.commits, 0u);
-  EXPECT_GT(r.total_traffic, 0u);
+  EXPECT_GT(r.counters.commits, 0u);
+  EXPECT_GT(r.total_traffic(), 0u);
   const protocol_selector_stats& s = r.selector;
   EXPECT_GT(s.observations, 0u);
   EXPECT_LT(s.median_abs_rel_error(), 0.5);
@@ -216,32 +216,17 @@ TEST(SyncProtocol, SelectionDeterministicAcrossGridThreads) {
       protocol_workload::small_edits, protocol_workload::fresh_rewrites,
       protocol_workload::duplicate_copy, protocol_workload::small_edits};
 
-  std::vector<protocol_run_result> serial(std::size(cells));
+  std::vector<experiment_result> serial(std::size(cells));
   parallel_runner one(1);
   one.run_indexed(std::size(cells),
                   [&](std::size_t i) { serial[i] = run_cell(cells[i]); });
-  std::vector<protocol_run_result> parallel(std::size(cells));
+  std::vector<experiment_result> parallel(std::size(cells));
   parallel_runner four(4);
   four.run_indexed(std::size(cells),
                    [&](std::size_t i) { parallel[i] = run_cell(cells[i]); });
 
   for (std::size_t i = 0; i < std::size(cells); ++i) {
-    EXPECT_EQ(serial[i].total_traffic, parallel[i].total_traffic) << i;
-    EXPECT_EQ(serial[i].commits, parallel[i].commits) << i;
-    EXPECT_EQ(serial[i].selector.picks, parallel[i].selector.picks) << i;
-    EXPECT_EQ(serial[i].selector.observations,
-              parallel[i].selector.observations)
-        << i;
-    for (int d = 0; d < 2; ++d) {
-      for (std::size_t c = 0;
-           c < static_cast<std::size_t>(traffic_category::kCount); ++c) {
-        EXPECT_EQ(serial[i].meter.get(static_cast<direction>(d),
-                                      static_cast<traffic_category>(c)),
-                  parallel[i].meter.get(static_cast<direction>(d),
-                                        static_cast<traffic_category>(c)))
-            << i << " dir " << d << " cat " << c;
-      }
-    }
+    EXPECT_TRUE(serial[i] == parallel[i]) << "cell " << i;
   }
 }
 
@@ -257,17 +242,17 @@ TEST(SyncProtocol, ForcedExperimentShipsEveryProtocol) {
     return run_protocol_experiment(cfg, protocol_workload::small_edits, 3,
                                    32 * KiB);
   };
-  const protocol_run_result full = run_forced(protocol_id::full_file);
-  const protocol_run_result rsync = run_forced(protocol_id::rsync);
-  const protocol_run_result cdc = run_forced(protocol_id::cdc_dedup);
+  const experiment_result full = run_forced(protocol_id::full_file);
+  const experiment_result rsync = run_forced(protocol_id::rsync);
+  const experiment_result cdc = run_forced(protocol_id::cdc_dedup);
 
-  EXPECT_EQ(full.commits, rsync.commits);
-  EXPECT_EQ(full.commits, cdc.commits);
+  EXPECT_EQ(full.counters.commits, rsync.counters.commits);
+  EXPECT_EQ(full.counters.commits, cdc.counters.commits);
   EXPECT_GT(full.meter.get(direction::up, traffic_category::payload),
             rsync.meter.get(direction::up, traffic_category::payload));
   EXPECT_GT(cdc.meter.get(direction::down, traffic_category::metadata),
             full.meter.get(direction::down, traffic_category::metadata));
-  EXPECT_LT(rsync.total_traffic, full.total_traffic);
+  EXPECT_LT(rsync.total_traffic(), full.total_traffic());
 }
 
 }  // namespace

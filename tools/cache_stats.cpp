@@ -10,9 +10,9 @@
 //                    [--mode M] [--window SEC] [--files N] [--size BYTES]
 //                    [--pin K] [--json]
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
+#include "cli_numbers.hpp"
 #include "core/experiment.hpp"
 
 using namespace cloudsync;
@@ -37,7 +37,7 @@ int usage(const char* argv0) {
 
 void print_json(cache_workload wl, const cache_config& cc, std::size_t files,
                 std::uint64_t file_bytes, std::size_t pin,
-                const cache_run_result& r) {
+                const experiment_result& r) {
   const block_cache_stats& s = r.cache;
   std::printf("{\n");
   std::printf("  \"workload\": \"%s\",\n", to_string(wl));
@@ -52,13 +52,14 @@ void print_json(cache_workload wl, const cache_config& cc, std::size_t files,
               static_cast<unsigned long long>(file_bytes));
   std::printf("  \"pinned\": %zu,\n", pin);
   std::printf("  \"commits\": %llu,\n",
-              static_cast<unsigned long long>(r.commits));
+              static_cast<unsigned long long>(r.counters.commits));
   std::printf("  \"total_traffic\": %llu,\n",
-              static_cast<unsigned long long>(r.total_traffic));
+              static_cast<unsigned long long>(r.total_traffic()));
   std::printf("  \"rehydrate_traffic\": %llu,\n",
-              static_cast<unsigned long long>(r.rehydrate_traffic));
-  std::printf("  \"tue\": %g,\n", r.tue);
-  std::printf("  \"hit_ratio\": %g,\n", r.hit_ratio);
+              static_cast<unsigned long long>(
+                  r.meter.by_category(traffic_category::rehydrate)));
+  std::printf("  \"tue\": %g,\n", r.tue());
+  std::printf("  \"hit_ratio\": %g,\n", s.hit_ratio());
   std::printf("  \"hits\": %llu,\n", static_cast<unsigned long long>(s.hits));
   std::printf("  \"misses\": %llu,\n",
               static_cast<unsigned long long>(s.misses));
@@ -101,6 +102,7 @@ int main(int argc, char** argv) {
   std::uint64_t file_bytes = 64 * KiB;
   std::size_t pin = 0;
   bool json = false;
+  const cli::strict_numbers num([&] { usage(argv[0]); });
 
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
@@ -120,9 +122,7 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
     } else if (std::strcmp(a, "--capacity") == 0) {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      cc.capacity_bytes = static_cast<std::uint64_t>(std::atoll(v));
+      cc.capacity_bytes = num.size(next());
     } else if (std::strcmp(a, "--policy") == 0) {
       const char* v = next();
       if (!v) return usage(argv[0]);
@@ -144,21 +144,13 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
     } else if (std::strcmp(a, "--window") == 0) {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      cc.coalesce_window = sim_time::from_sec(std::atof(v));
+      cc.coalesce_window = sim_time::from_sec(num.real(next()));
     } else if (std::strcmp(a, "--files") == 0) {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      files = static_cast<std::size_t>(std::atoll(v));
+      files = num.count(next());
     } else if (std::strcmp(a, "--size") == 0) {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      file_bytes = static_cast<std::uint64_t>(std::atoll(v));
+      file_bytes = num.size(next());
     } else if (std::strcmp(a, "--pin") == 0) {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      pin = static_cast<std::size_t>(std::atoll(v));
+      pin = num.count(next());
     } else if (std::strcmp(a, "--json") == 0) {
       json = true;
     } else {
@@ -172,7 +164,7 @@ int main(int argc, char** argv) {
   cfg.cache_tier = true;
   cfg.cache = cc;
 
-  const cache_run_result r =
+  const experiment_result r =
       run_cache_experiment(cfg, wl, files, file_bytes, pin);
   const block_cache_stats& s = r.cache;
 
@@ -187,13 +179,14 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(file_bytes), pin);
     std::printf("traffic: %llu B total (TUE %.3f), %llu B rehydrate, "
                 "%llu commits\n",
-                static_cast<unsigned long long>(r.total_traffic), r.tue,
-                static_cast<unsigned long long>(r.rehydrate_traffic),
-                static_cast<unsigned long long>(r.commits));
+                static_cast<unsigned long long>(r.total_traffic()), r.tue(),
+                static_cast<unsigned long long>(
+                    r.meter.by_category(traffic_category::rehydrate)),
+                static_cast<unsigned long long>(r.counters.commits));
     std::printf("blocks: %llu hits / %llu misses (hit ratio %.4f), "
                 "%llu inserted, %llu evicted, %llu stalls\n",
                 static_cast<unsigned long long>(s.hits),
-                static_cast<unsigned long long>(s.misses), r.hit_ratio,
+                static_cast<unsigned long long>(s.misses), s.hit_ratio(),
                 static_cast<unsigned long long>(s.insertions),
                 static_cast<unsigned long long>(s.evictions),
                 static_cast<unsigned long long>(s.eviction_stalls));
@@ -216,7 +209,7 @@ int main(int argc, char** argv) {
 
   // Smoke-test teeth: the replay must commit, and a cold-start run that
   // never rehydrated means the miss-driven fetch path is disconnected.
-  if (r.commits == 0) return 1;
+  if (r.counters.commits == 0) return 1;
   if (wl == cache_workload::cold_start && s.rehydrated_blocks == 0) return 1;
   return 0;
 }

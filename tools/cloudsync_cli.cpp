@@ -15,6 +15,7 @@
 #include <map>
 #include <string>
 
+#include "cli_numbers.hpp"
 #include "cloudsync.hpp"
 
 using namespace cloudsync;
@@ -51,22 +52,6 @@ namespace {
   std::exit(2);
 }
 
-std::uint64_t parse_size(const std::string& s) {
-  if (s.empty()) usage("empty size");
-  char suffix = s.back();
-  std::uint64_t mult = 1;
-  std::string digits = s;
-  if (suffix == 'K' || suffix == 'k') mult = KiB;
-  if (suffix == 'M' || suffix == 'm') mult = MiB;
-  if (suffix == 'G' || suffix == 'g') mult = GiB;
-  if (mult != 1) digits = s.substr(0, s.size() - 1);
-  try {
-    return std::stoull(digits) * mult;
-  } catch (const std::exception&) {
-    usage("bad size value");
-  }
-}
-
 struct cli_options {
   std::string command;
   std::string service = "Dropbox";
@@ -85,6 +70,7 @@ cli_options parse(int argc, char** argv) {
   if (argc < 2) usage();
   cli_options opt;
   opt.command = argv[1];
+  const cli::strict_numbers num([] { usage("malformed number"); });
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> std::string {
@@ -105,19 +91,19 @@ cli_options parse(int argc, char** argv) {
       else if (l == "bj") opt.link = link_config::beijing();
       else usage("unknown link");
     } else if (arg == "--size") {
-      opt.size = parse_size(value());
+      opt.size = num.size(value().c_str());
     } else if (arg == "--kb") {
-      opt.kb = std::stod(value());
+      opt.kb = num.real(value().c_str());
     } else if (arg == "--period") {
-      opt.period = std::stod(value());
+      opt.period = num.real(value().c_str());
     } else if (arg == "--total") {
-      opt.total = parse_size(value());
+      opt.total = num.size(value().c_str());
     } else if (arg == "--scale") {
-      opt.scale = std::stod(value());
+      opt.scale = num.real(value().c_str());
     } else if (arg == "--csv") {
       opt.csv_path = value();
     } else if (arg == "--seed") {
-      opt.seed = std::stoull(value());
+      opt.seed = num.count(value().c_str());
     } else {
       usage(("unknown option " + arg).c_str());
     }
@@ -204,8 +190,8 @@ int cmd_append(const cli_options& opt) {
       "%llu commits\n",
       opt.kb, opt.period, format_bytes(static_cast<double>(opt.total)).c_str(),
       opt.service.c_str(),
-      format_bytes(static_cast<double>(res.total_traffic)).c_str(), res.tue,
-      static_cast<unsigned long long>(res.commits));
+      format_bytes(static_cast<double>(res.total_traffic())).c_str(),
+      res.tue(), static_cast<unsigned long long>(res.counters.commits));
   return 0;
 }
 

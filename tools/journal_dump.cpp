@@ -9,11 +9,13 @@
 //
 //   journal_dump [--site after_plan|mid_chunk|before_commit] [--skip N]
 //                [--no-resume] [--size n[K|M]] [--chunk n[K|M]] [--trace]
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
 
+#include "cli_numbers.hpp"
 #include "cloudsync.hpp"
 
 using namespace cloudsync;
@@ -39,21 +41,6 @@ namespace {
   std::exit(2);
 }
 
-std::uint64_t parse_size(const std::string& s) {
-  if (s.empty()) usage("empty size");
-  char suffix = s.back();
-  std::uint64_t mult = 1;
-  std::string digits = s;
-  if (suffix == 'K' || suffix == 'k') mult = KiB;
-  if (suffix == 'M' || suffix == 'm') mult = MiB;
-  if (mult != 1) digits = s.substr(0, s.size() - 1);
-  try {
-    return std::stoull(digits) * mult;
-  } catch (const std::exception&) {
-    usage("bad size value");
-  }
-}
-
 struct options {
   crash_site site = crash_site::mid_chunk;
   int skip = -1;  ///< default depends on the site (see parse)
@@ -65,6 +52,7 @@ struct options {
 
 options parse(int argc, char** argv) {
   options opt;
+  const cli::strict_numbers num([] { usage("malformed number"); });
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> std::string {
@@ -83,13 +71,13 @@ options parse(int argc, char** argv) {
         usage("unknown kill site");
       }
     } else if (arg == "--skip") {
-      opt.skip = std::atoi(value().c_str());
+      opt.skip = static_cast<int>(num.count(value().c_str(), INT_MAX));
     } else if (arg == "--no-resume") {
       opt.resume = false;
     } else if (arg == "--size") {
-      opt.size = parse_size(value());
+      opt.size = num.size(value().c_str());
     } else if (arg == "--chunk") {
-      opt.chunk_bytes = parse_size(value());
+      opt.chunk_bytes = num.size(value().c_str());
     } else if (arg == "--trace") {
       opt.trace = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -199,8 +187,8 @@ int main(int argc, char** argv) {
   print_journal(r, "after recovery");
 
   std::printf("recovery: resumed=%llu restarted-from-scratch=%llu\n",
-              (unsigned long long)r.client->resume_count(),
-              (unsigned long long)r.client->recovery_restart_count());
+              (unsigned long long)r.client->counters().resumes,
+              (unsigned long long)r.client->counters().recovery_restarts);
 
   invariant_report report;
   check_convergence(r.fs, r.cl, 0, report);

@@ -9,11 +9,11 @@
 // Usage: protocol_stats [--workload W] [--mode M] [--forced P] [--files N]
 //                       [--size BYTES] [--env E] [--json]
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "cli_numbers.hpp"
 #include "core/experiment.hpp"
 
 using namespace cloudsync;
@@ -50,7 +50,7 @@ service_profile lab_profile() {
 
 void print_json(protocol_workload wl, const experiment_config& cfg,
                 std::size_t files, std::uint64_t file_bytes,
-                const protocol_run_result& r) {
+                const experiment_result& r) {
   const protocol_selector_stats& s = r.selector;
   std::printf("{\n");
   std::printf("  \"workload\": \"%s\",\n", to_string(wl));
@@ -59,10 +59,10 @@ void print_json(protocol_workload wl, const experiment_config& cfg,
   std::printf("  \"file_bytes\": %llu,\n",
               static_cast<unsigned long long>(file_bytes));
   std::printf("  \"commits\": %llu,\n",
-              static_cast<unsigned long long>(r.commits));
+              static_cast<unsigned long long>(r.counters.commits));
   std::printf("  \"total_traffic\": %llu,\n",
-              static_cast<unsigned long long>(r.total_traffic));
-  std::printf("  \"tue\": %g,\n", r.tue);
+              static_cast<unsigned long long>(r.total_traffic()));
+  std::printf("  \"tue\": %g,\n", r.tue());
   std::printf("  \"picks\": {");
   for (std::size_t p = 0; p < protocol_registry::instance().size(); ++p) {
     std::printf("%s\"%s\": %llu", p ? ", " : "",
@@ -98,6 +98,7 @@ int main(int argc, char** argv) {
   std::uint64_t file_bytes = 64 * KiB;
   link_config link = link_config::minnesota();
   bool json = false;
+  const cli::strict_numbers num([&] { usage(argv[0]); });
 
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
@@ -141,13 +142,9 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
     } else if (std::strcmp(a, "--files") == 0) {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      files = static_cast<std::size_t>(std::atoll(v));
+      files = num.count(next());
     } else if (std::strcmp(a, "--size") == 0) {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      file_bytes = static_cast<std::uint64_t>(std::atoll(v));
+      file_bytes = num.size(next());
     } else if (std::strcmp(a, "--env") == 0) {
       const char* v = next();
       if (!v) return usage(argv[0]);
@@ -172,7 +169,7 @@ int main(int argc, char** argv) {
   cfg.protocol.mode = mode;
   cfg.protocol.forced = forced;
 
-  const protocol_run_result r =
+  const experiment_result r =
       run_protocol_experiment(cfg, wl, files, file_bytes);
   const protocol_selector_stats& s = r.selector;
 
@@ -185,8 +182,8 @@ int main(int argc, char** argv) {
                 mode == protocol_mode::forced ? to_string(forced) : "",
                 files, static_cast<unsigned long long>(file_bytes));
     std::printf("traffic: %llu B total (TUE %.3f), %llu commits\n",
-                static_cast<unsigned long long>(r.total_traffic), r.tue,
-                static_cast<unsigned long long>(r.commits));
+                static_cast<unsigned long long>(r.total_traffic()), r.tue(),
+                static_cast<unsigned long long>(r.counters.commits));
     std::printf("picks / correction:\n");
     for (std::size_t p = 0; p < protocol_registry::instance().size(); ++p) {
       std::printf("  %-10s %6llu  x%.3f\n",
@@ -207,7 +204,7 @@ int main(int argc, char** argv) {
 
   // Smoke-test teeth: the replay must commit, and an adaptive run that never
   // calibrated means the feedback loop is disconnected.
-  if (r.commits == 0) return 1;
+  if (r.counters.commits == 0) return 1;
   if (mode == protocol_mode::adaptive && s.observations == 0) return 1;
   return 0;
 }

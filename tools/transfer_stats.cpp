@@ -9,10 +9,10 @@
 // Usage: transfer_stats [--intensity F] [--files N] [--size BYTES]
 //                       [--chunk BYTES] [--pin KxR] [--seed N] [--json]
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "cli_numbers.hpp"
 #include "core/experiment.hpp"
 
 using namespace cloudsync;
@@ -41,7 +41,7 @@ void print_connections(const std::vector<connection_stats>& conns) {
 }
 
 void print_json(const experiment_config& cfg, std::size_t files,
-                std::uint64_t file_bytes, const transfer_run_result& r) {
+                std::uint64_t file_bytes, const experiment_result& r) {
   std::printf("{\n");
   std::printf("  \"intensity\": %g,\n",
               cfg.faults.outages_per_hour /
@@ -74,14 +74,17 @@ void print_json(const experiment_config& cfg, std::size_t files,
   std::printf("  \"recovery_rounds\": %llu,\n",
               static_cast<unsigned long long>(r.sched.recovery_rounds));
   std::printf("  \"payload_traffic\": %llu,\n",
-              static_cast<unsigned long long>(r.payload_traffic));
+              static_cast<unsigned long long>(
+                  r.meter.by_category(traffic_category::payload)));
   std::printf("  \"redundancy_traffic\": %llu,\n",
-              static_cast<unsigned long long>(r.redundancy_traffic));
+              static_cast<unsigned long long>(
+                  r.meter.by_category(traffic_category::redundancy)));
   std::printf("  \"retry_traffic\": %llu,\n",
-              static_cast<unsigned long long>(r.retry_traffic));
-  std::printf("  \"tue\": %g,\n", r.tue);
+              static_cast<unsigned long long>(
+                  r.meter.by_category(traffic_category::retry)));
+  std::printf("  \"tue\": %g,\n", r.tue());
   std::printf("  \"gave_up\": %llu,\n",
-              static_cast<unsigned long long>(r.requeues));
+              static_cast<unsigned long long>(r.counters.requeues));
   std::printf("  \"connections\": [");
   for (std::size_t i = 0; i < r.per_connection.size(); ++i) {
     const connection_stats& cs = r.per_connection[i];
@@ -106,6 +109,7 @@ int main(int argc, char** argv) {
   int pin_k = 0, pin_r = 0;
   bool pinned = false;
   bool json = false;
+  const cli::strict_numbers num([&] { usage(argv[0]); });
 
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
@@ -113,25 +117,15 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     if (std::strcmp(a, "--intensity") == 0) {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      intensity = std::atof(v);
+      intensity = num.real(next());
     } else if (std::strcmp(a, "--files") == 0) {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      files = static_cast<std::size_t>(std::atoll(v));
+      files = num.count(next());
     } else if (std::strcmp(a, "--size") == 0) {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      file_bytes = static_cast<std::uint64_t>(std::atoll(v));
+      file_bytes = num.size(next());
     } else if (std::strcmp(a, "--chunk") == 0) {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      chunk_bytes = static_cast<std::size_t>(std::atoll(v));
+      chunk_bytes = num.size(next());
     } else if (std::strcmp(a, "--seed") == 0) {
-      const char* v = next();
-      if (!v) return usage(argv[0]);
-      seed = static_cast<std::uint64_t>(std::atoll(v));
+      seed = num.count(next());
     } else if (std::strcmp(a, "--pin") == 0) {
       const char* v = next();
       if (!v || std::sscanf(v, "%dx%d", &pin_k, &pin_r) != 2 || pin_k < 1 ||
@@ -162,8 +156,7 @@ int main(int argc, char** argv) {
     cfg.transfer.pin = {pin_k, pin_r, sim_time::from_sec(2)};
   }
 
-  const transfer_run_result r =
-      run_transfer_experiment(cfg, files, file_bytes);
+  const experiment_result r = run_transfer_experiment(cfg, files, file_bytes);
 
   if (json) {
     print_json(cfg, files, file_bytes, r);
@@ -196,14 +189,18 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.sched.recovery_rounds));
     std::printf("traffic: payload %llu B, redundancy %llu B, retry %llu B "
                 "(TUE %.3f)\n",
-                static_cast<unsigned long long>(r.payload_traffic),
-                static_cast<unsigned long long>(r.redundancy_traffic),
-                static_cast<unsigned long long>(r.retry_traffic), r.tue);
+                static_cast<unsigned long long>(
+                    r.meter.by_category(traffic_category::payload)),
+                static_cast<unsigned long long>(
+                    r.meter.by_category(traffic_category::redundancy)),
+                static_cast<unsigned long long>(
+                    r.meter.by_category(traffic_category::retry)),
+                r.tue());
     std::printf("per-connection estimates:\n");
     print_connections(r.per_connection);
   }
 
   // A transaction that exhausted every recovery avenue re-queued; report it
   // as failure so smoke tests catch regressions in convergence.
-  return r.requeues == 0 ? 0 : 1;
+  return r.counters.requeues == 0 ? 0 : 1;
 }
