@@ -8,7 +8,10 @@
 //
 // SHA-256 gets two rows: `sha256` is the kernel the program dispatches to on
 // this host, `sha256_portable` is the scalar kernel driven directly, so both
-// stay checked whichever one CPUID picks.
+// stay checked whichever one CPUID picks. The multi-buffer MD5 kernel gets
+// the row `md5_x16` (AVX-512F), driven directly over the corpus cut into
+// 10 KiB rsync blocks; on a host without AVX-512F the row is skipped and
+// says so.
 //
 // Writes BENCH_kernels.json (or argv[1]). Exit status is the identity
 // verdict: any kernel or replay divergence fails the run (CI gates on it);
@@ -29,6 +32,7 @@
 #include "pipeline/byte_pipeline.hpp"
 #include "util/adler32.hpp"
 #include "util/crc32.hpp"
+#include "util/md5_kernels.hpp"
 #include "util/sha256_kernels.hpp"
 #include "util/string_key.hpp"
 
@@ -462,6 +466,62 @@ int main(int argc, char** argv) {
     });
     rows.push_back(row);
   }
+  // The multi-buffer MD5 kernel: identity on every lane for random lengths
+  // and misaligned starts, then the rate over the corpus's 10 KiB blocks,
+  // 16 blocks per call, against refk::md5 one block at a time.
+  {
+    kernel_row row{"md5_x16"};
+    row.in_aggregate = false;  // the md5 row already times this work
+    if (!md5_kernels::has_avx512f()) {
+      row.identity_checked = false;
+    } else {
+      constexpr std::size_t kRsyncBlock = 10 * KiB;
+      std::vector<const std::uint8_t*> blocks;
+      for (const byte_buffer& b : corpus) {
+        for (std::size_t off = 0; off + kRsyncBlock <= b.size();
+             off += kRsyncBlock) {
+          blocks.push_back(b.data() + off);
+        }
+      }
+      const std::uint64_t block_bytes = blocks.size() * kRsyncBlock;
+      rng lr(0x6d64355f6c616e65ull);
+      const byte_buffer& src = corpus.front();
+      for (int trial = 0; trial < 200; ++trial) {
+        const auto len = static_cast<std::size_t>(
+            lr.uniform_range(0, trial < 50 ? 200 : 64 * KiB));
+        const auto n =
+            static_cast<std::size_t>(lr.uniform_range(1, kMd5MaxLanes));
+        const std::uint8_t* msgs[kMd5MaxLanes];
+        md5_digest out[kMd5MaxLanes];
+        for (std::size_t j = 0; j < n; ++j) {
+          msgs[j] = src.data() + lr.uniform(src.size() - len);
+        }
+        md5_kernels::x16_avx512(msgs, n, len, out);
+        for (std::size_t j = 0; j < n; ++j) {
+          row.identical &= out[j] == refk::md5(byte_view(msgs[j], len));
+        }
+      }
+      row.ref_mb_s = throughput_mb_s(block_bytes, kMinMs, [&] {
+        std::uint64_t s = 0;
+        for (const std::uint8_t* b : blocks) {
+          s += refk::md5(byte_view(b, kRsyncBlock)).prefix64();
+        }
+        g_sink = g_sink + s;
+      });
+      row.opt_mb_s = throughput_mb_s(block_bytes, kMinMs, [&] {
+        std::uint64_t s = 0;
+        md5_digest out[kMd5MaxLanes];
+        for (std::size_t first = 0; first < blocks.size();
+             first += kMd5MaxLanes) {
+          const std::size_t n = std::min(kMd5MaxLanes, blocks.size() - first);
+          md5_kernels::x16_avx512(blocks.data() + first, n, kRsyncBlock, out);
+          s += out[n - 1].prefix64();
+        }
+        g_sink = g_sink + s;
+      });
+    }
+    rows.push_back(row);
+  }
   {
     kernel_row row{"sha1"};
     for (const byte_buffer& b : corpus) {
@@ -697,17 +757,22 @@ int main(int argc, char** argv) {
   const unsigned nproc = std::thread::hardware_concurrency();
   const char* sha256_kernel =
       sha256_kernels::has_sha_ni() ? "sha_ni" : "portable";
+  const char* md5_kernel = md5_kernels::dispatched_name();
   std::printf("host: %u cores, sha_ni=%d avx2=%d avx512f=%d; sha256 "
-              "dispatches to the %s kernel\n",
+              "dispatches to the %s kernel, md5_many to the %s kernel\n",
               nproc, flags.contains("sha_ni"), flags.contains("avx2"),
-              flags.contains("avx512f"), sha256_kernel);
+              flags.contains("avx512f"), sha256_kernel, md5_kernel);
 
   text_table table;
   table.header({"kernel", "ref MB/s", "opt MB/s", "speedup", "identical"});
   for (const kernel_row& r : rows) {
-    table.row({r.name, strfmt("%.1f", r.ref_mb_s),
-               strfmt("%.1f", r.opt_mb_s), strfmt("%.2fx", r.speedup()),
-               r.identity_checked ? (r.identical ? "yes" : "NO") : "n/a"});
+    if (r.identity_checked || r.opt_mb_s > 0) {
+      table.row({r.name, strfmt("%.1f", r.ref_mb_s),
+                 strfmt("%.1f", r.opt_mb_s), strfmt("%.2fx", r.speedup()),
+                 r.identity_checked ? (r.identical ? "yes" : "NO") : "n/a"});
+    } else {
+      table.row({r.name, "-", "-", "-", "skipped: ISA missing"});
+    }
   }
   table.row({"aggregate", strfmt("%.1f", agg_ref), strfmt("%.1f", agg_opt),
              strfmt("%.2fx", agg_opt / agg_ref), "-"});
@@ -737,6 +802,7 @@ int main(int argc, char** argv) {
       << ", \"avx2\": " << flag("avx2")
       << ", \"avx512f\": " << flag("avx512f") << "}},\n"
       << "  \"sha256_kernel\": \"" << sha256_kernel << "\",\n"
+      << "  \"md5_kernel\": \"" << md5_kernel << "\",\n"
       << "  \"corpus_bytes\": " << corpus_bytes << ",\n"
       << "  \"kernels\": {";
   bool first = true;

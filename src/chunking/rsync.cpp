@@ -1,6 +1,7 @@
 #include "chunking/rsync.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "chunking/fixed_chunker.hpp"
@@ -17,6 +18,12 @@ constexpr std::size_t kPumpWindowBytes = 256 * 1024;
 
 /// Compact the job buffer once this many consumed bytes pile up in front.
 constexpr std::size_t kCompactBytes = 256 * 1024;
+
+/// A weak sum's bit in delta_job's prefilter: the top (64 - shift) bits of
+/// a multiplicative hash.
+std::uint64_t filter_hash(std::uint32_t weak, unsigned shift) {
+  return (weak * 0x9e3779b97f4a7c15ull) >> shift;
+}
 }  // namespace
 
 sig_job::sig_job(std::size_t block_size, std::uint64_t size_hint) {
@@ -31,6 +38,10 @@ sig_job::sig_job(std::size_t block_size, std::uint64_t size_hint) {
 void sig_job::feed(byte_view window) {
   sig_.file_size += window.size();
   while (!window.empty()) {
+    if (fill_ == 0 && window.size() / sig_.block_size >= 2) {
+      window = window.subspan(sign_whole_blocks(window));
+      continue;
+    }
     const std::size_t take =
         std::min(window.size(), sig_.block_size - fill_);
     const byte_view piece = window.first(take);
@@ -45,6 +56,31 @@ void sig_job::feed(byte_view window) {
       fill_ = 0;
     }
   }
+}
+
+/// Signs the whole blocks at the front of `window`, the strong sums
+/// kMd5MaxLanes at a time straight from the window (a lone one on md5()),
+/// and returns the bytes they span.
+std::size_t sig_job::sign_whole_blocks(byte_view window) {
+  const std::size_t bs = sig_.block_size;
+  const std::size_t whole = window.size() / bs;
+  const std::uint8_t* msgs[kMd5MaxLanes];
+  md5_digest strong[kMd5MaxLanes];
+  for (std::size_t first = 0; first < whole; first += kMd5MaxLanes) {
+    const std::size_t n = std::min(kMd5MaxLanes, whole - first);
+    for (std::size_t k = 0; k < n; ++k) {
+      msgs[k] = window.data() + (first + k) * bs;
+    }
+    if (n == 1) {
+      strong[0] = md5(byte_view(msgs[0], bs));
+    } else {
+      md5_many(msgs, n, bs, strong);
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      sig_.blocks.push_back({weak_checksum(byte_view(msgs[k], bs)), strong[k]});
+    }
+  }
+  return whole * bs;
 }
 
 file_signature sig_job::finish() {
@@ -118,7 +154,51 @@ delta_job::delta_job(const file_signature& sig)
     for (std::uint64_t i = 0; i < full_blocks_; ++i) {
       weak_index_.emplace(sig.blocks[i].weak, i);
     }
+    if (full_blocks_ > 0) {
+      // 64 bits per block, so a weak sum no block has passes about once in
+      // 64 probes; at most 8 Mi bits.
+      const std::uint64_t bits = std::bit_ceil(std::clamp<std::uint64_t>(
+          full_blocks_ * 64, 64, std::uint64_t{1} << 23));
+      filter_shift_ = 64 - static_cast<unsigned>(std::countr_zero(bits));
+      weak_filter_.assign(static_cast<std::size_t>(bits / 64), 0);
+      for (std::uint64_t i = 0; i < full_blocks_; ++i) {
+        const std::uint64_t h = filter_hash(sig.blocks[i].weak, filter_shift_);
+        weak_filter_[h / 64] |= std::uint64_t{1} << (h % 64);
+      }
+    }
+    if (full_blocks_ >= 2) lanes_ = kMd5MaxLanes;
   }
+}
+
+bool delta_job::may_be_indexed(std::uint32_t weak) const {
+  if (weak_filter_.empty()) return false;
+  const std::uint64_t h = filter_hash(weak, filter_shift_);
+  return (weak_filter_[h / 64] >> (h % 64) & 1) != 0;
+}
+
+/// The strong sum of the window at pos_: the next look-ahead digest, or a
+/// new look-ahead from pos_ when none is left.
+md5_digest delta_job::strong_at_pos() {
+  if (ahead_next_ < ahead_count_) return ahead_strong_[ahead_next_++];
+  const std::uint8_t* msgs[kMd5MaxLanes];
+  std::size_t n = 0;
+  for (std::uint64_t q = pos_; n < lanes_ && q + bs_ <= fed_; q += bs_) {
+    const byte_view window = buffered(q, bs_);
+    if (n > 0) {
+      const std::uint32_t weak = weak_checksum(window);
+      if (!may_be_indexed(weak) || !weak_index_.contains(weak)) break;
+      ahead_weak_[n] = weak;
+    }
+    msgs[n++] = window.data();
+  }
+  if (n == 1) {
+    ahead_strong_[0] = md5(byte_view(msgs[0], bs_));
+  } else {
+    md5_many(msgs, n, bs_, ahead_strong_);
+  }
+  ahead_count_ = n;
+  ahead_next_ = 1;
+  return ahead_strong_[0];
 }
 
 byte_view delta_job::buffered(std::uint64_t pos, std::size_t len) const {
@@ -162,17 +242,26 @@ void delta_job::feed(byte_view window) {
     whole_md5_.update(window);
     return;
   }
+  // With a look-ahead, grow straight to what this window and its reach of
+  // 16 blocks need instead of doubling up to it: a doubling step holds the
+  // old and the new buffer at once.
+  if (const std::size_t need = buf_.size() + window.size();
+      lanes_ > 1 && need > buf_.capacity()) {
+    buf_.reserve(need + lanes_ * bs_);
+  }
   append(buf_, window);
   drain(/*final_window=*/false);
   compact();
 }
 
 void delta_job::drain(bool final_window) {
-  // During feed, stop one byte short of the fed horizon: an unmatched
-  // position needs the byte at pos + bs to roll, and whether that byte
-  // exists (vs. the file simply ending) is only known at finish().
-  if (!final_window && fed_ <= bs_) return;
-  const std::uint64_t horizon = final_window ? fed_ : fed_ - 1;
+  // During feed, stop short of the fed horizon: an unmatched position needs
+  // the byte at pos + bs to roll, and whether that byte exists (vs. the file
+  // simply ending) is only known at finish(); a weak hit at pos looks ahead
+  // over lanes_ windows, which must be buffered to batch.
+  const std::uint64_t reach = lanes_ * bs_;
+  if (!final_window && fed_ <= reach) return;
+  const std::uint64_t horizon = final_window ? fed_ : fed_ - 1 - (reach - bs_);
 
   while (pos_ + bs_ <= horizon) {
     if (!window_valid_) {
@@ -180,20 +269,29 @@ void delta_job::drain(bool final_window) {
       window_valid_ = true;
     }
     bool matched = false;
-    auto [it, end] = weak_index_.equal_range(rc_.value());
-    if (it != end) {
-      const md5_digest strong = md5(buffered(pos_, bs_));
-      for (; it != end; ++it) {
-        if (sig_.blocks[it->second].strong == strong) {
-          emit_copy(it->second);
-          pos_ += bs_;
-          window_valid_ = false;
-          matched = true;
-          break;
+    if (may_be_indexed(rc_.value())) {
+      auto [it, end] = weak_index_.equal_range(rc_.value());
+      if (it != end) {
+        const md5_digest strong = strong_at_pos();
+        for (; it != end; ++it) {
+          if (sig_.blocks[it->second].strong == strong) {
+            emit_copy(it->second);
+            pos_ += bs_;
+            window_valid_ = false;
+            matched = true;
+            break;
+          }
         }
       }
     }
-    if (!matched) {
+    if (matched) {
+      // The next window's weak sum is known if the look-ahead reached it.
+      if (ahead_next_ < ahead_count_) {
+        rc_.resume(ahead_weak_[ahead_next_]);
+        window_valid_ = true;
+      }
+    } else {
+      ahead_next_ = ahead_count_ = 0;
       emit_literal(pos_, 1);
       if (pos_ + bs_ < fed_) {
         rc_.roll(buf_[pos_ - base_], buf_[pos_ + bs_ - base_]);
@@ -323,6 +421,11 @@ file_delta compute_delta_ref(const file_signature& sig,
                            compute_delta_events(sig, new_data, window_bytes));
 }
 
+bool copy_in_range(const delta_op& op, std::uint64_t old_blocks) {
+  return op.block_index <= old_blocks &&
+         op.block_count <= old_blocks - op.block_index;
+}
+
 byte_buffer apply_delta(byte_view old_data, const file_delta& delta) {
   byte_buffer out;
   out.reserve(delta.new_file_size);
@@ -335,7 +438,7 @@ byte_buffer apply_delta(byte_view old_data, const file_delta& delta) {
       op.walk_literal([&](byte_view run) { append(out, run); });
       continue;
     }
-    if (op.block_index + op.block_count > old_blocks.size()) {
+    if (!copy_in_range(op, old_blocks.size())) {
       throw std::runtime_error("apply_delta: block index out of range");
     }
     for (std::uint64_t b = op.block_index;
@@ -365,7 +468,7 @@ void patch_job::feed(const delta_op& op) {
     }
     return;
   }
-  if (op.block_index + op.block_count > old_blocks_) {
+  if (!copy_in_range(op, old_blocks_)) {
     throw std::runtime_error("apply_delta: block index out of range");
   }
   const std::size_t start = static_cast<std::size_t>(op.block_index) * bs_;

@@ -12,7 +12,7 @@
 //   - resumable incremental jobs (sig_job / delta_job / patch_job) with a
 //     feed(window)/finish() pump, so multi-GB files can be signed, diffed,
 //     and patched over fixed-size buffers walked off a content_ref rope —
-//     working memory stays O(block_size + feed window), never O(file).
+//     working memory stays O(feed window + 16 × block_size), never O(file).
 // The whole-buffer functions are thin pumps over the jobs, so both layers
 // produce bit-identical signatures, deltas, and wire bytes by construction.
 #pragma once
@@ -58,7 +58,9 @@ struct file_signature {
 /// Incremental signature computation: feed the file's bytes in order, in
 /// windows of any size, then finish(). The weak and strong per-block sums
 /// both stream, so the result is independent of how the input is windowed
-/// and equals compute_signature of the concatenation.
+/// and equals compute_signature of the concatenation. Where a window holds
+/// two or more whole blocks, their strong sums are computed kMd5MaxLanes at
+/// a time straight from the window; a block that straddles windows streams.
 class sig_job {
  public:
   /// Throws invalid_block_size when block_size == 0.
@@ -68,6 +70,8 @@ class sig_job {
   file_signature finish();
 
  private:
+  std::size_t sign_whole_blocks(byte_view window);
+
   file_signature sig_;
   std::uint32_t a_ = 0, b_ = 0;  ///< weak sums of the open block
   md5_hasher strong_;            ///< strong hash of the open block
@@ -107,6 +111,11 @@ struct delta_op {
   void walk_literal(const std::function<void(byte_view)>& fn) const;
 };
 
+/// A copy op's blocks lie within an old file of `old_blocks` blocks. Written
+/// so that no sum can wrap, because a parsed delta carries any 64-bit index
+/// and count; every delta applier checks its copy ops with it.
+bool copy_in_range(const delta_op& op, std::uint64_t old_blocks);
+
 struct file_delta {
   std::size_t block_size = 0;
   std::uint64_t new_file_size = 0;
@@ -120,8 +129,19 @@ struct file_delta {
 /// finish(). Emits copy/literal runs as events — literal runs are [offset,
 /// length) ranges of the new file, so the job never owns payload bytes; the
 /// driver decides whether to materialize them (compute_delta) or reference
-/// them out of a rope (compute_delta_ref). Internally buffers only the
-/// unresolved window, bounded by block_size + the largest fed window.
+/// them out of a rope (compute_delta_ref).
+///
+/// A weak hit at position p hashes, in one md5_many() call, the window at p
+/// and the block-aligned windows p + bs, p + 2bs, ... whose weak sums also
+/// hit, up to kMd5MaxLanes of them; the scan consumes those digests in order
+/// as its matches reach them and drops the rest at the first window that
+/// does not match. Every digest covers exactly the bytes the scan compares
+/// and candidates are compared in the same order, so the events equal a
+/// one-window-at-a-time scan's. So that the look-ahead can see its windows,
+/// the scan stays kMd5MaxLanes × block_size behind the fed bytes until
+/// finish(): the internal buffer is bounded by the largest fed window plus
+/// kMd5MaxLanes × block_size on every host (signatures with fewer than two
+/// full blocks hash one window at a time and need only one block_size).
 /// The signature must outlive the job.
 class delta_job {
  public:
@@ -141,6 +161,8 @@ class delta_job {
 
  private:
   void drain(bool final_window);
+  bool may_be_indexed(std::uint32_t weak) const;
+  md5_digest strong_at_pos();
   byte_view buffered(std::uint64_t pos, std::size_t len) const;
   void compact();
   void emit_copy(std::uint64_t block);
@@ -153,6 +175,22 @@ class delta_job {
   const bool degenerate_;
   std::uint64_t full_blocks_ = 0;
   std::unordered_multimap<std::uint32_t, std::uint64_t> weak_index_;
+  /// Prefilter in front of weak_index_: one bit per hash of a full block's
+  /// weak sum. A clear bit proves there is no candidate, so the rolling scan
+  /// skips the map probe. Empty when the signature has no full block.
+  std::vector<std::uint64_t> weak_filter_;
+  unsigned filter_shift_ = 0;
+
+  /// Windows one look-ahead hashes at most: kMd5MaxLanes with two or more
+  /// full blocks, else 1.
+  std::size_t lanes_ = 1;
+  /// The look-ahead's digests of the windows at p, p + bs, ...: entry
+  /// ahead_next_ is the window at pos_, and ahead_weak_[k] is window k's
+  /// packed weak sum (k >= 1).
+  md5_digest ahead_strong_[kMd5MaxLanes];
+  std::uint32_t ahead_weak_[kMd5MaxLanes] = {};
+  std::size_t ahead_next_ = 0;
+  std::size_t ahead_count_ = 0;
 
   rolling_checksum rc_;
   bool window_valid_ = false;

@@ -101,6 +101,8 @@ void chunk_backend::apply_delta(const std::string& old_key,
   }
   const chunk_manifest& old = it->second;
   const std::uint64_t bs = delta.block_size;
+  const std::uint64_t old_blocks =
+      bs > 0 ? (old.logical_size + bs - 1) / bs : 0;
 
   chunk_manifest next;
   next.logical_size = delta.new_file_size;
@@ -109,7 +111,7 @@ void chunk_backend::apply_delta(const std::string& old_key,
       const std::uint64_t start = op.block_index * bs;
       const std::uint64_t end = std::min<std::uint64_t>(
           old.logical_size, (op.block_index + op.block_count) * bs);
-      if (start > end) {
+      if (!copy_in_range(op, old_blocks) || start > end) {
         throw std::runtime_error("chunk_backend: copy past end of old file");
       }
       append_old_range(next, old, start, end - start);

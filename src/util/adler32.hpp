@@ -33,6 +33,15 @@ class rolling_checksum {
   /// Initialise from a full window (data.size() must equal window()).
   void reset(byte_view data);
 
+  /// Continue from a packed value() of the same window size: value() and
+  /// every later roll() then equal those of reset() on the window that
+  /// produced it, because the packed value keeps a and b mod 2^16 and the
+  /// sums are mod-2^32 arithmetic.
+  void resume(std::uint32_t packed) {
+    a_ = packed & 0xffffu;
+    b_ = packed >> 16;
+  }
+
   /// Slide one byte: `out` leaves the window, `in` enters.
   void roll(std::uint8_t out, std::uint8_t in) {
     a_ -= out;

@@ -5,6 +5,7 @@
 // the paper (and rsync) use it, never a security boundary.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "util/bytes.hpp"
@@ -37,5 +38,18 @@ class md5_hasher {
 
 /// One-shot convenience.
 md5_digest md5(byte_view data);
+
+/// Messages one md5_many() call hashes at most: the lanes of the AVX-512F
+/// kernel, and the batch width of every caller on every host.
+inline constexpr std::size_t kMd5MaxLanes = 16;
+
+/// MD5 of `n` (1 <= n <= kMd5MaxLanes) messages of `len` bytes each
+/// (msgs[i] .. msgs[i] + len) into out[i]: out[i] == md5() of msgs[i]. With
+/// AVX-512F (CPUID, once per process) the n messages share one 16-lane kernel
+/// call, which costs about the same however many lanes are filled; without
+/// it they are hashed one after another. So callers batch equal-length
+/// blocks and keep a lone message on md5().
+void md5_many(const std::uint8_t* const msgs[], std::size_t n,
+              std::size_t len, md5_digest out[]);
 
 }  // namespace cloudsync

@@ -26,6 +26,7 @@
 #include <string_view>
 #include <vector>
 
+#include "chunking/rsync.hpp"
 #include "compress/lzss.hpp"
 #include "core/experiment.hpp"
 #include "core/fleet.hpp"
@@ -423,6 +424,113 @@ std::string lzss_cell() {
       .str();
 }
 
+// --- rsync signatures and deltas ---------------------------------------------
+
+/// The edited versions of `old_data` one delta is computed for: the same
+/// bytes, a one-byte change, an insert, a truncation, an append, and +1, -1,
+/// -1, +1 at four consecutive offsets, which keeps both weak sums of the
+/// block and changes its strong sum.
+std::vector<byte_buffer> rsync_edits(const byte_buffer& old_data,
+                                     std::size_t block_size, rng& r) {
+  std::vector<byte_buffer> edits = {old_data};
+  if (old_data.empty()) {
+    edits.push_back(random_bytes(r, block_size + 5));
+    return edits;
+  }
+  byte_buffer changed = old_data;
+  changed[r.uniform(changed.size())] ^= 0x5a;
+  edits.push_back(std::move(changed));
+
+  byte_buffer inserted = old_data;
+  const byte_buffer ins = random_bytes(r, 1 + r.uniform(2 * block_size));
+  inserted.insert(inserted.begin() + static_cast<std::ptrdiff_t>(
+                                         r.uniform(inserted.size() + 1)),
+                  ins.begin(), ins.end());
+  edits.push_back(std::move(inserted));
+
+  edits.emplace_back(old_data.begin(),
+                     old_data.begin() + static_cast<std::ptrdiff_t>(
+                                            r.uniform(old_data.size())));
+
+  byte_buffer appended = old_data;
+  append(appended, random_bytes(r, 1 + r.uniform(3 * block_size)));
+  edits.push_back(std::move(appended));
+
+  // The first four bytes from the middle of the file that take +1/-1
+  // without wrapping.
+  byte_buffer collided = old_data;
+  for (std::size_t k = collided.size() / 2; k + 4 <= collided.size(); ++k) {
+    if (collided[k] < 255 && collided[k + 1] > 0 && collided[k + 2] > 0 &&
+        collided[k + 3] < 255) {
+      ++collided[k];
+      --collided[k + 1];
+      --collided[k + 2];
+      ++collided[k + 3];
+      break;
+    }
+  }
+  edits.push_back(std::move(collided));
+  return edits;
+}
+
+/// Every signature's (weak, strong) pairs and every serialized delta wire of
+/// a seeded corpus, at the two services' rsync block sizes (10 KiB and
+/// 128 KiB) and an odd small one, reduced to counts and one CRC-32. The old
+/// files hold no full block, one block, a few blocks with a short tail, a
+/// file that repeats one block several times (several candidates share both
+/// sums, so the first matching index is pinned), and 20 blocks.
+std::string rsync_cell() {
+  rng r(23);
+  std::uint64_t signatures = 0, blocks = 0, deltas = 0, wire_bytes = 0;
+  std::uint32_t crc = 0;
+  for (const std::size_t bs : {std::size_t{700}, std::size_t{10 * KiB},
+                               std::size_t{128 * KiB}}) {
+    const byte_buffer a = random_bytes(r, bs), b = random_bytes(r, bs),
+                      c = random_bytes(r, bs);
+    byte_buffer repeated;
+    for (const byte_buffer* block : {&a, &b, &a, &a, &c, &a, &a}) {
+      append(repeated, *block);
+    }
+    append(repeated, random_bytes(r, 100));
+    const std::vector<byte_buffer> olds = {
+        {},
+        random_bytes(r, bs / 2),
+        random_bytes(r, bs),
+        random_bytes(r, 3 * bs + 17),
+        std::move(repeated),
+        random_bytes(r, 20 * bs + 333),
+    };
+    for (const byte_buffer& old_data : olds) {
+      const file_signature sig =
+          compute_signature_ref(content_ref::from_bytes(old_data), bs);
+      ++signatures;
+      blocks += sig.blocks.size();
+      for (const block_signature& s : sig.blocks) {
+        std::uint8_t weak[4];
+        for (int i = 0; i < 4; ++i) {
+          weak[i] = static_cast<std::uint8_t>(s.weak >> (8 * i));
+        }
+        crc = crc32(byte_view(weak, 4), crc);
+        crc = crc32(s.strong.bytes, crc);
+      }
+      for (const byte_buffer& new_data : rsync_edits(old_data, bs, r)) {
+        const byte_buffer wire = serialize_delta(
+            compute_delta_ref(sig, content_ref::from_bytes(new_data)));
+        ++deltas;
+        wire_bytes += wire.size();
+        crc = crc32(wire, crc);
+      }
+    }
+  }
+  return digest_line()
+      .num("signatures", signatures)
+      .num("blocks", blocks)
+      .num("deltas", deltas)
+      .num("wire_bytes", wire_bytes)
+      .hex("crc32", crc)
+      .str();
+}
+
 // --- payload generators ------------------------------------------------------
 
 /// random_bytes and synthetic_payload from a fresh rng per call, reduced to a
@@ -488,6 +596,7 @@ const std::vector<cell>& cells() {
       {"crash_merged_plan", crash_cell},
       {"transfer_adaptive", transfer_cell},
       {"append_dropbox", append_cell},
+      {"rsync_deltas", rsync_cell},
   };
   return table;
 }
@@ -588,6 +697,8 @@ TEST(GoldenDigests, CrashMergedPlan) { expect_golden("crash_merged_plan"); }
 TEST(GoldenDigests, TransferAdaptive) { expect_golden("transfer_adaptive"); }
 
 TEST(GoldenDigests, AppendDropbox) { expect_golden("append_dropbox"); }
+
+TEST(GoldenDigests, RsyncDeltas) { expect_golden("rsync_deltas"); }
 
 }  // namespace
 }  // namespace cloudsync

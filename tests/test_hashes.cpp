@@ -8,6 +8,7 @@
 
 #include "util/crc32.hpp"
 #include "util/md5.hpp"
+#include "util/md5_kernels.hpp"
 #include "util/rng.hpp"
 #include "util/sha1.hpp"
 #include "util/sha256.hpp"
@@ -49,6 +50,73 @@ INSTANTIATE_TEST_SUITE_P(
         md5_vector{"1234567890123456789012345678901234567890123456789012345678"
                    "9012345678901234567890",
                    "57edf4a22be3c955ac49da2e2107b67a"}));
+
+// --- multi-buffer MD5: the AVX-512F kernel driven directly ----------------
+
+class Md5X16Kernel : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!md5_kernels::has_avx512f()) {
+      GTEST_SKIP() << "this CPU or OS lacks AVX-512F; kernel not exercised";
+    }
+  }
+
+  /// Hashes `n` messages of `len` bytes at the given pointers through the
+  /// kernel and checks every lane against md5().
+  static void expect_lanes_match(const std::vector<const std::uint8_t*>& msgs,
+                                 std::size_t len) {
+    std::vector<md5_digest> out(msgs.size());
+    md5_kernels::x16_avx512(msgs.data(), msgs.size(), len, out.data());
+    for (std::size_t j = 0; j < msgs.size(); ++j) {
+      ASSERT_EQ(out[j], md5(byte_view{msgs[j], len}))
+          << "lane " << j << " of " << msgs.size() << ", " << len << " B";
+    }
+  }
+};
+
+TEST_F(Md5X16Kernel, EveryLaneMatchesMd5AtPaddingBoundaries) {
+  rng r(21);
+  for (const std::size_t len : {0, 1, 55, 56, 63, 64, 65, 119, 120, 700}) {
+    // Distinct bytes per lane, each lane at its own misaligned offset.
+    const byte_buffer data = random_bytes(r, kMd5MaxLanes * (len + 64) + 64);
+    std::vector<const std::uint8_t*> msgs;
+    for (std::size_t j = 0; j < kMd5MaxLanes; ++j) {
+      msgs.push_back(data.data() + j * (len + 64) + j % 61);
+    }
+    expect_lanes_match(msgs, len);
+  }
+}
+
+TEST_F(Md5X16Kernel, PartialBatchesAndRandomLengths) {
+  rng r(22);
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto len = static_cast<std::size_t>(
+        trial < 6 ? r.uniform_range(0, 200) : r.uniform_range(0, 64 * 1024));
+    const auto n = static_cast<std::size_t>(r.uniform_range(1, kMd5MaxLanes));
+    const byte_buffer data = random_bytes(r, len * 2 + 64);
+    std::vector<const std::uint8_t*> msgs;
+    for (std::size_t j = 0; j < n; ++j) {
+      // Overlapping windows of one buffer, as the delta scan passes them.
+      msgs.push_back(data.data() + r.uniform(len + 64));
+    }
+    expect_lanes_match(msgs, len);
+  }
+}
+
+TEST(Md5Many, EqualsMd5ForAnyCountThroughTheDispatchedKernel) {
+  rng r(23);
+  const byte_buffer data = random_bytes(r, 40 * 1024);
+  for (const std::size_t n : {1, 2, 7, 8, 9, 15, 16}) {
+    const std::size_t len = 1000;
+    std::vector<const std::uint8_t*> msgs;
+    for (std::size_t j = 0; j < n; ++j) msgs.push_back(data.data() + 977 * j);
+    std::vector<md5_digest> out(n);
+    md5_many(msgs.data(), n, len, out.data());
+    for (std::size_t j = 0; j < n; ++j) {
+      ASSERT_EQ(out[j], md5(byte_view{msgs[j], len})) << j << " of " << n;
+    }
+  }
+}
 
 // --- SHA-1 (FIPS 180 examples) --------------------------------------------
 

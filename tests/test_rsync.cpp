@@ -1,7 +1,10 @@
 // The rsync algorithm: signatures, delta computation, patching, wire format.
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
 #include "chunking/rsync.hpp"
+#include "storage/cloud.hpp"
 #include "util/rng.hpp"
 
 namespace cloudsync {
@@ -220,6 +223,44 @@ TEST(ApplyDelta, OutOfRangeBlockThrows) {
   EXPECT_THROW(apply_delta(old_data, delta), std::runtime_error);
 }
 
+TEST(ApplyDelta, OverflowingCopyRangeThrows) {
+  // 2^63 + (2^63 + 1) wraps to 1, inside the 4-block old file, and the
+  // index times the block size wraps to 0: a check on the sum took this for
+  // old block 0.
+  rng r(22);
+  const byte_buffer old_data = random_bytes(r, 4096);
+  for (const std::uint64_t new_size : {1024u, 0u}) {
+    file_delta delta;
+    delta.block_size = 1024;
+    delta.new_file_size = new_size;
+    delta.ops.push_back(
+        {delta_op::kind::copy, 1ull << 63, (1ull << 63) + 1, {}, {}});
+    const file_delta parsed = parse_delta(serialize_delta(delta));
+    EXPECT_THROW(apply_delta(old_data, parsed), std::runtime_error)
+        << new_size;
+    EXPECT_THROW(apply_delta_ref(content_ref::from_bytes(old_data), parsed),
+                 std::runtime_error)
+        << new_size;
+
+    // Both cloud substrates: whole objects patch through apply_delta_ref,
+    // the chunk store rewrites its manifest in chunk_backend::apply_delta.
+    for (const bool chunk_store : {false, true}) {
+      cloud_config cfg;
+      cfg.use_chunk_store = chunk_store;
+      cfg.chunk_store_chunk_size = 1024;
+      cloud cl(cfg);
+      const device_id dev = cl.attach_device(1);
+      cl.put_file(1, dev, "f", old_data, old_data.size(), sim_time{});
+      EXPECT_THROW(cl.apply_file_delta(1, dev, "f", parsed,
+                                       sim_time::from_sec(1)),
+                   std::runtime_error)
+          << new_size << (chunk_store ? " chunk store" : " whole objects");
+      EXPECT_EQ(cl.manifest(1, "f")->version, 1u);
+      EXPECT_EQ(*cl.file_content(1, "f"), old_data);
+    }
+  }
+}
+
 TEST(ApplyDelta, SizeMismatchThrows) {
   file_delta delta;
   delta.block_size = 1024;
@@ -370,6 +411,263 @@ TEST(RsyncStreaming, RandomWindowSplitsDoNotChangeResults) {
     EXPECT_EQ(serialize_delta(delta), want_wire) << trial;
   }
 }
+
+// --- batched strong sums against a one-block-at-a-time reference ------------
+
+/// The signature, one block at a time: weak_checksum and md5() per block.
+file_signature reference_signature(byte_view data, std::size_t bs) {
+  file_signature sig;
+  sig.block_size = bs;
+  sig.file_size = data.size();
+  for (std::size_t off = 0; off < data.size(); off += bs) {
+    const byte_view block = data.subspan(off, std::min(bs, data.size() - off));
+    sig.blocks.push_back({weak_checksum(block), md5(block)});
+  }
+  return sig;
+}
+
+/// The delta events of a byte-by-byte scan that hashes the one window at a
+/// weak hit with md5() and compares candidates in weak-index order. Runs
+/// merge as delta_job merges them.
+std::vector<delta_job::event> reference_events(const file_signature& sig,
+                                               byte_view data) {
+  std::vector<delta_job::event> events;
+  const auto copy = [&](std::uint64_t block) {
+    if (!events.empty() && events.back().copy &&
+        events.back().block_index + events.back().block_count == block) {
+      ++events.back().block_count;
+    } else {
+      events.push_back({true, block, 1, 0, 0});
+    }
+  };
+  const auto literal = [&](std::uint64_t offset, std::uint64_t length) {
+    if (length == 0) return;
+    if (!events.empty() && !events.back().copy) {
+      events.back().length += length;
+    } else {
+      events.push_back({false, 0, 0, offset, length});
+    }
+  };
+  const std::size_t bs = sig.block_size;
+  const std::uint64_t size = data.size();
+  if (sig.blocks.empty() || size < bs) {
+    if (sig.file_size == size && sig.blocks.size() == 1 && size > 0 &&
+        sig.blocks[0].strong == md5(data)) {
+      copy(0);
+    } else {
+      literal(0, size);
+    }
+    return events;
+  }
+  // Built as delta_job builds its index, so equal weak sums list their
+  // blocks in the same order.
+  const std::uint64_t full = sig.file_size / bs;
+  std::unordered_multimap<std::uint32_t, std::uint64_t> index;
+  index.reserve(sig.blocks.size());
+  for (std::uint64_t i = 0; i < full; ++i) index.emplace(sig.blocks[i].weak, i);
+
+  std::uint64_t pos = 0;
+  rolling_checksum rc(bs);
+  bool valid = false;
+  while (pos + bs <= size) {
+    if (!valid) {
+      rc.reset(data.subspan(pos, bs));
+      valid = true;
+    }
+    bool matched = false;
+    auto [it, end] = index.equal_range(rc.value());
+    if (it != end) {
+      const md5_digest strong = md5(data.subspan(pos, bs));
+      for (; it != end && !matched; ++it) {
+        if (sig.blocks[it->second].strong == strong) {
+          copy(it->second);
+          pos += bs;
+          valid = false;
+          matched = true;
+        }
+      }
+    }
+    if (!matched) {
+      literal(pos, 1);
+      if (pos + bs < size) {
+        rc.roll(data[pos], data[pos + bs]);
+      } else {
+        valid = false;
+      }
+      ++pos;
+    }
+  }
+  const std::size_t tail = static_cast<std::size_t>(sig.file_size % bs);
+  if (tail > 0 && size >= tail && size - tail >= pos) {
+    const byte_view tail_view = data.subspan(size - tail, tail);
+    if (sig.blocks[full].weak == weak_checksum(tail_view) &&
+        sig.blocks[full].strong == md5(tail_view)) {
+      literal(pos, size - tail - pos);
+      copy(full);
+      return events;
+    }
+  }
+  literal(pos, size - pos);
+  return events;
+}
+
+void expect_same_events(const std::vector<delta_job::event>& got,
+                        const std::vector<delta_job::event>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].copy, want[i].copy) << i;
+    EXPECT_EQ(got[i].block_index, want[i].block_index) << i;
+    EXPECT_EQ(got[i].block_count, want[i].block_count) << i;
+    EXPECT_EQ(got[i].offset, want[i].offset) << i;
+    EXPECT_EQ(got[i].length, want[i].length) << i;
+  }
+}
+
+/// A rope over `data` cut at random points, so the jobs see windows that
+/// split blocks anywhere.
+content_ref randomly_cut_rope(byte_view data, rng& r, std::size_t max_seg) {
+  content_ref::builder b;
+  for (std::size_t off = 0; off < data.size();) {
+    const std::size_t len =
+        std::min<std::size_t>(1 + r.uniform(max_seg), data.size() - off);
+    b.append_bytes(data.subspan(off, len));
+    off += len;
+  }
+  return b.build();
+}
+
+/// `blocks` blocks drawn from a pool of three, so several blocks share both
+/// sums, then a short random tail.
+byte_buffer repetitive_file(rng& r, std::size_t bs, std::size_t blocks) {
+  const byte_buffer pool[3] = {random_bytes(r, bs), random_bytes(r, bs),
+                               random_bytes(r, bs)};
+  byte_buffer out;
+  for (std::size_t i = 0; i < blocks; ++i) append(out, pool[r.uniform(3)]);
+  append(out, random_bytes(r, r.uniform(bs)));
+  return out;
+}
+
+/// Adds +1, -1, -1, +1 at the first four bytes from `at` that take it
+/// without wrapping: both weak sums of the block stay, the bytes change.
+void collide_weak_sum(byte_buffer& data, std::size_t at) {
+  for (std::size_t k = at; k + 4 <= data.size(); ++k) {
+    if (data[k] < 255 && data[k + 1] > 0 && data[k + 2] > 0 &&
+        data[k + 3] < 255) {
+      ++data[k];
+      --data[k + 1];
+      --data[k + 2];
+      ++data[k + 3];
+      return;
+    }
+  }
+}
+
+class RsyncBatched : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(RsyncBatched, SignatureAndEventsEqualOneBlockAtATimeReference) {
+  const std::size_t bs = GetParam();
+  rng r(40 + bs);
+  // File sizes in blocks, capped so the small block sizes stay quick: up to
+  // 3 MiB at 128 KiB blocks.
+  const std::size_t max_bytes =
+      bs >= 128 * 1024 ? 3 * 1024 * 1024 : bs >= 700 ? 1024 * 1024 : 16 * 1024;
+  std::vector<byte_buffer> olds = {
+      {},
+      random_bytes(r, bs / 2),
+      random_bytes(r, bs),
+      random_bytes(r, 2 * bs + 1),
+      repetitive_file(r, bs, std::min<std::size_t>(40, max_bytes / bs)),
+      random_bytes(r, max_bytes - r.uniform(bs)),
+  };
+  for (std::size_t c = 0; c < olds.size(); ++c) {
+    const byte_buffer& old_data = olds[c];
+    const file_signature want_sig = reference_signature(old_data, bs);
+    const file_signature sig = compute_signature_ref(
+        randomly_cut_rope(old_data, r, 1 + r.uniform(4 * bs)), bs);
+    ASSERT_EQ(sig.file_size, want_sig.file_size) << c;
+    ASSERT_EQ(sig.blocks.size(), want_sig.blocks.size()) << c;
+    for (std::size_t i = 0; i < sig.blocks.size(); ++i) {
+      ASSERT_EQ(sig.blocks[i].weak, want_sig.blocks[i].weak) << c << '/' << i;
+      ASSERT_EQ(sig.blocks[i].strong, want_sig.blocks[i].strong)
+          << c << '/' << i;
+    }
+
+    std::vector<byte_buffer> news = {old_data};
+    if (!old_data.empty()) {
+      byte_buffer changed = old_data;
+      changed[r.uniform(changed.size())] ^= 0x01;
+      news.push_back(std::move(changed));
+      byte_buffer inserted = old_data;
+      const byte_buffer ins = random_bytes(r, 1 + r.uniform(bs + 1));
+      inserted.insert(
+          inserted.begin() +
+              static_cast<std::ptrdiff_t>(r.uniform(inserted.size() + 1)),
+          ins.begin(), ins.end());
+      news.push_back(std::move(inserted));
+      news.emplace_back(old_data.begin(),
+                        old_data.begin() + static_cast<std::ptrdiff_t>(
+                                               r.uniform(old_data.size())));
+      byte_buffer collided = old_data;
+      collide_weak_sum(collided, r.uniform(collided.size()));
+      news.push_back(std::move(collided));
+    }
+    byte_buffer appended = old_data;
+    append(appended, random_bytes(r, 1 + r.uniform(2 * bs)));
+    news.push_back(std::move(appended));
+    byte_buffer doubled = old_data;  // every block matches twice in a row
+    append(doubled, old_data);
+    news.push_back(std::move(doubled));
+
+    for (std::size_t e = 0; e < news.size(); ++e) {
+      const std::vector<delta_job::event> want =
+          reference_events(want_sig, news[e]);
+      const std::vector<delta_job::event> got = compute_delta_events(
+          sig, randomly_cut_rope(news[e], r, 1 + r.uniform(4 * bs)),
+          1 + r.uniform(3 * bs));
+      SCOPED_TRACE(testing::Message() << "old " << c << ", new " << e);
+      expect_same_events(got, want);
+    }
+  }
+}
+
+TEST(RsyncLookAhead, DigestsAreDroppedAtAMismatch) {
+  // Old blocks P, Q, R, S and T, where T straddles Q* and R: T = Q*[d..) +
+  // R[..d), with Q* = Q after a weak-sum collision. The scan of
+  // P Q* R S hashes all four aligned windows at once, finds Q*'s strong sum
+  // wrong, and rolls to offset bs + d, where T matches. A digest of R kept
+  // from the look-ahead would be compared there instead of T's.
+  const std::size_t bs = 700, d = 300;
+  rng r(41);
+  const byte_buffer p = random_bytes(r, bs), q = random_bytes(r, bs),
+                    rr = random_bytes(r, bs), s = random_bytes(r, bs);
+  byte_buffer q_star = q;
+  collide_weak_sum(q_star, bs / 2);
+  ASSERT_EQ(weak_checksum(q_star), weak_checksum(q));
+  ASSERT_NE(md5(q_star), md5(q));
+  byte_buffer t(q_star.begin() + d, q_star.end());
+  t.insert(t.end(), rr.begin(), rr.begin() + d);
+
+  byte_buffer old_data, new_data;
+  for (const byte_view block : {byte_view(p), byte_view(q), byte_view(rr),
+                                byte_view(s), byte_view(t)}) {
+    append(old_data, block);
+  }
+  for (const byte_view block :
+       {byte_view(p), byte_view(q_star), byte_view(rr), byte_view(s)}) {
+    append(new_data, block);
+  }
+  const file_signature sig = compute_signature(old_data, bs);
+  const std::vector<delta_job::event> want = reference_events(sig, new_data);
+  ASSERT_GE(want.size(), 3u);
+  EXPECT_TRUE(want[2].copy && want[2].block_index == 4)
+      << "the reference scan should copy T after the collision";
+  expect_same_events(
+      compute_delta_events(sig, content_ref::from_bytes(new_data)), want);
+}
+
+INSTANTIATE_TEST_SUITE_P(BlockSizes, RsyncBatched,
+                         ::testing::Values(1, 63, 64, 700, 10 * 1024,
+                                           128 * 1024));
 
 TEST(RsyncStreaming, PatchJobSharesOldChunks) {
   rng r(20);
