@@ -50,9 +50,10 @@ using experiment_job = std::function<experiment_result()>;
 /// Evaluate a report's grid on its own pool of `threads` workers, results
 /// in job order. The gated reports evaluate every grid at 1 and N threads
 /// and compare the two runs' whole results cell by cell.
-inline std::vector<experiment_result> evaluate(
-    const std::vector<experiment_job>& jobs, unsigned threads) {
-  std::vector<experiment_result> out(jobs.size());
+template <typename R>
+std::vector<R> evaluate(const std::vector<std::function<R()>>& jobs,
+                        unsigned threads) {
+  std::vector<R> out(jobs.size());
   parallel_runner pool(threads);
   pool.run_indexed(jobs.size(), [&](std::size_t i) { out[i] = jobs[i](); });
   return out;

@@ -1,10 +1,9 @@
 // Before/after harness for the byte-kernel layer: times every content
 // kernel (hashing, chunking, checksums, compression estimate) against an
 // embedded copy of the pre-optimization scalar implementation, checks the
-// outputs are bit-identical, and measures what the fused single-pass
-// pipeline and the flat dedup shard buy on top. Also times the fleet replay
-// at the old (250) and new (2500) per-service file caps and asserts the
-// replay is byte-identical across thread counts.
+// outputs are bit-identical, and measures what the flat dedup shard buys
+// over a node-based map. End-to-end replay throughput is perfbench's to
+// measure.
 //
 // SHA-256 gets two rows: `sha256` is the kernel the program dispatches to on
 // this host, `sha256_portable` is the scalar kernel driven directly, so both
@@ -14,7 +13,7 @@
 // says so.
 //
 // Writes BENCH_kernels.json (or argv[1]). Exit status is the identity
-// verdict: any kernel or replay divergence fails the run (CI gates on it);
+// verdict: any kernel or index divergence fails the run (CI gates on it);
 // throughput numbers are recorded but never gate, since they depend on the
 // host.
 #include <array>
@@ -28,7 +27,6 @@
 #include <unordered_map>
 
 #include "bench_util.hpp"
-#include "core/fleet.hpp"
 #include "pipeline/byte_pipeline.hpp"
 #include "util/adler32.hpp"
 #include "util/crc32.hpp"
@@ -391,18 +389,6 @@ std::vector<byte_buffer> make_corpus() {
   return corpus;
 }
 
-std::string fleet_report_fingerprint(
-    const std::vector<fleet_service_report>& reports) {
-  std::ostringstream os;
-  for (const fleet_service_report& r : reports) {
-    os << r.service << '|' << r.files << '|' << r.dropped_files << '|'
-       << r.users << '|' << r.update_bytes << '|' << r.sync_traffic << '|'
-       << r.commits << '|' << r.mean_staleness_sec << '|'
-       << r.bill.total_usd() << '\n';
-  }
-  return os.str();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -598,8 +584,9 @@ int main(int argc, char** argv) {
   {
     // Compression-size estimate over the full buffer: the lzss trial
     // compression a size estimate used to require vs the pipeline's
-    // streamable order-0 entropy. Different estimators by design (the fused
-    // pass cannot run a match-finder per tile), so rate-only: no identity.
+    // streamable order-0 entropy. Different estimators by design (the
+    // pipeline cannot run a match-finder per tile), so rate-only: no
+    // identity.
     kernel_row row{"compress_estimate"};
     row.identity_checked = false;
     row.ref_mb_s = throughput_mb_s(corpus_bytes, kMinMs, [&] {
@@ -637,40 +624,6 @@ int main(int argc, char** argv) {
                          ref_time;
   const double agg_opt = agg_rows * static_cast<double>(corpus_bytes) /
                          opt_time;
-
-  // Fused pipeline vs the same kernels run as separate passes (both sides
-  // use the optimized kernels; this isolates the single-pass win).
-  content_request full;
-  full.sha256 = full.md5 = full.crc32 = full.weak = full.entropy = true;
-  full.cdc = cdc;
-  bool fused_identical = true;
-  for (const byte_buffer& b : corpus) {
-    const content_report rep = analyze_content(b, full);
-    fused_identical &= rep.sha256 == sha256(b) && rep.md5 == md5(b) &&
-                       rep.crc32 == crc32(b) && rep.weak == weak_checksum(b) &&
-                       chunks_equal(rep.cdc_chunks,
-                                    content_defined_chunks(b, cdc));
-  }
-  const double separate_mb_s = throughput_mb_s(corpus_bytes, kMinMs, [&] {
-    std::uint64_t s = 0;
-    for (const byte_buffer& b : corpus) {
-      s += sha256(b).prefix64() + md5(b).prefix64() + crc32(b) +
-           weak_checksum(b) + content_defined_chunks(b, cdc).size();
-      content_request ereq;
-      ereq.entropy = true;
-      s += static_cast<std::uint64_t>(
-          analyze_content(b, ereq).entropy_bits_per_byte * 1000);
-    }
-    g_sink = g_sink + s;
-  });
-  const double fused_mb_s = throughput_mb_s(corpus_bytes, kMinMs, [&] {
-    std::uint64_t s = 0;
-    for (const byte_buffer& b : corpus) {
-      const content_report rep = analyze_content(b, full);
-      s += rep.sha256.prefix64() + rep.crc32 + rep.cdc_chunks.size();
-    }
-    g_sink = g_sink + s;
-  });
 
   // Dedup-index probe: the flat per-user shard vs the node-based
   // unordered_map<fingerprint, count> it replaced. Same fingerprints, same
@@ -723,34 +676,7 @@ int main(int argc, char** argv) {
     });
   }
 
-  // Fleet replay: wall time at the old vs new default cap, and the new cap
-  // replayed serially vs across 4 threads must be byte-identical.
-  fleet_config fcfg;
-  fcfg.replay_threads = 1;
-  // Pin the historical caps: the fleet_config defaults moved to whole-trace /
-  // uncapped with the CoW store, and this report compares 250 vs 2500 files
-  // at the original 2 MiB clamp.
-  fcfg.trace.max_file_bytes = 2 * MiB;
-  fcfg.max_files_per_service = 250;
-  double t0 = now_ms();
-  const auto fleet_old = replay_trace_fleet(fcfg);
-  const double fleet_old_ms = now_ms() - t0;
-  std::size_t files_old = 0;
-  for (const auto& r : fleet_old) files_old += r.files;
-
-  fcfg.max_files_per_service = 2500;
-  t0 = now_ms();
-  const auto fleet_new = replay_trace_fleet(fcfg);
-  const double fleet_new_ms = now_ms() - t0;
-  std::size_t files_new = 0;
-  for (const auto& r : fleet_new) files_new += r.files;
-
-  fcfg.replay_threads = 4;
-  const auto fleet_mt = replay_trace_fleet(fcfg);
-  const bool fleet_identical = fleet_report_fingerprint(fleet_new) ==
-                               fleet_report_fingerprint(fleet_mt);
-
-  bool all_identical = fused_identical && index_identical && fleet_identical;
+  bool all_identical = index_identical;
   for (const kernel_row& r : rows) all_identical &= r.identical;
 
   const std::set<std::string> flags = cpu_flags();
@@ -777,18 +703,10 @@ int main(int argc, char** argv) {
   table.row({"aggregate", strfmt("%.1f", agg_ref), strfmt("%.1f", agg_opt),
              strfmt("%.2fx", agg_opt / agg_ref), "-"});
   std::printf("%s\n", table.str().c_str());
-  std::printf("fused pipeline: %.1f MB/s vs %.1f MB/s separate passes "
-              "(%.2fx), outputs identical: %s\n",
-              fused_mb_s, separate_mb_s, fused_mb_s / separate_mb_s,
-              fused_identical ? "yes" : "NO");
   std::printf("dedup index: %.2f Mops/s flat shard vs %.2f Mops/s "
               "unordered_map (%.2fx), answers identical: %s\n",
               shard_mops, baseline_mops, shard_mops / baseline_mops,
               index_identical ? "yes" : "NO");
-  std::printf("fleet replay: cap 250 -> %zu files in %.0f ms; cap 2500 -> "
-              "%zu files in %.0f ms; identical across 1/4 threads: %s\n",
-              files_old, fleet_old_ms, files_new, fleet_new_ms,
-              fleet_identical ? "yes" : "NO");
 
   const char* out_path = argc > 1 ? argv[1] : "BENCH_kernels.json";
   std::ofstream out(out_path);
@@ -819,20 +737,10 @@ int main(int argc, char** argv) {
       << "  \"aggregate\": {\"ref_mb_s\": " << agg_ref
       << ", \"opt_mb_s\": " << agg_opt
       << ", \"speedup\": " << agg_opt / agg_ref << "},\n"
-      << "  \"fused_pipeline\": {\"separate_mb_s\": " << separate_mb_s
-      << ", \"fused_mb_s\": " << fused_mb_s
-      << ", \"speedup\": " << fused_mb_s / separate_mb_s
-      << ", \"identical\": " << (fused_identical ? "true" : "false") << "},\n"
       << "  \"dedup_index\": {\"unordered_map_mops\": " << baseline_mops
       << ", \"flat_shard_mops\": " << shard_mops
       << ", \"speedup\": " << shard_mops / baseline_mops
       << ", \"identical\": " << (index_identical ? "true" : "false") << "},\n"
-      << "  \"fleet_replay\": {\"cap_old\": 250, \"files_old\": " << files_old
-      << ", \"wall_ms_old\": " << fleet_old_ms
-      << ", \"cap_new\": 2500, \"files_new\": " << files_new
-      << ", \"wall_ms_new\": " << fleet_new_ms
-      << ", \"identical_across_threads\": "
-      << (fleet_identical ? "true" : "false") << "},\n"
       << "  \"identical_outputs\": " << (all_identical ? "true" : "false")
       << "\n}\n";
   out.flush();

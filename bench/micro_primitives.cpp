@@ -1,9 +1,9 @@
 // Google-benchmark microbenchmarks for the from-scratch primitives that the
-// simulation's fidelity (and speed) rests on: hashing, rolling checksums,
-// LZSS, rsync delta computation, and dedup analysis.
+// simulation's fidelity (and speed) rests on: rolling checksums, LZSS,
+// Huffman, rsync delta computation, dedup analysis and the memo lookups.
+// The hash and CDC kernels are timed, and checked, by kernel_report.
 #include <benchmark/benchmark.h>
 
-#include "chunking/cdc.hpp"
 #include "chunking/rsync.hpp"
 #include "client/sync_engine.hpp"
 #include "compress/huffman.hpp"
@@ -11,10 +11,7 @@
 #include "dedup/dedup_engine.hpp"
 #include "util/adler32.hpp"
 #include "util/content_cache.hpp"
-#include "util/md5.hpp"
 #include "util/rng.hpp"
-#include "util/sha1.hpp"
-#include "util/sha256.hpp"
 #include "util/units.hpp"
 
 namespace {
@@ -25,39 +22,6 @@ byte_buffer payload(std::size_t n, bool text) {
   rng r(99);
   return text ? random_text(r, n) : random_bytes(r, n);
 }
-
-void BM_Md5(benchmark::State& state) {
-  const byte_buffer data = payload(static_cast<std::size_t>(state.range(0)),
-                                   false);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(md5(data));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_Md5)->Arg(4 * 1024)->Arg(1 * MiB);
-
-void BM_Sha1(benchmark::State& state) {
-  const byte_buffer data = payload(static_cast<std::size_t>(state.range(0)),
-                                   false);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sha1(data));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_Sha1)->Arg(1 * MiB);
-
-void BM_Sha256(benchmark::State& state) {
-  const byte_buffer data = payload(static_cast<std::size_t>(state.range(0)),
-                                   false);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sha256(data));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_Sha256)->Arg(1 * MiB);
 
 void BM_RollingChecksum(benchmark::State& state) {
   const byte_buffer data = payload(1 * MiB, false);
@@ -149,7 +113,7 @@ BENCHMARK(BM_RsyncDeltaOneByteEdit);
 
 void BM_DedupAnalyzeBlocks(benchmark::State& state) {
   dedup_engine eng({dedup_granularity::fixed_block, 4 * MiB, false});
-  const byte_buffer data = payload(16 * MiB, false);
+  const content_ref data = content_ref::from_bytes(payload(16 * MiB, false));
   eng.commit(1, data);
   for (auto _ : state) {
     benchmark::DoNotOptimize(eng.analyze(1, data));
@@ -200,16 +164,6 @@ void BM_WirePayloadSizeCached(benchmark::State& state) {
                           static_cast<std::int64_t>(data.size()));
 }
 BENCHMARK(BM_WirePayloadSizeCached);
-
-void BM_Cdc(benchmark::State& state) {
-  const byte_buffer data = payload(4 * MiB, false);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(content_defined_chunks(data));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(data.size()));
-}
-BENCHMARK(BM_Cdc);
 
 }  // namespace
 

@@ -1,5 +1,6 @@
 #include "chunking/cdc.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cassert>
@@ -24,55 +25,108 @@ constexpr std::array<std::uint64_t, 256> make_gear_table() {
 
 constexpr auto kGear = make_gear_table();
 
+/// The gear-CDC cut rule as a stream: feed() the content in order, in
+/// pieces of any size, then finish(). A chunk ends at the first byte where
+/// it is at least min_size long and the gear hash's low log2(avg_size) bits
+/// are zero, or at max_size; the last chunk takes whatever remains.
+class cdc_cutter {
+ public:
+  cdc_cutter(const cdc_params& p, std::size_t total)
+      : mask_(p.avg_size - 1), min_(p.min_size), max_(p.max_size) {
+    assert(p.min_size > 0 && p.min_size <= p.avg_size &&
+           p.avg_size <= p.max_size);
+    assert((p.avg_size & (p.avg_size - 1)) == 0 &&
+           "avg_size must be a power of two");
+    // Min-size skipping: the cut test (h & mask) == 0 reads only the low
+    // log2(avg_size) bits of h, and h = Σ_j gear[data[j]] << (len−1−j), so
+    // those bits depend only on the last log2(avg_size) bytes hashed. The
+    // first test fires at length min_size, so hashing can start at
+    // min_size − mask_bits with h = 0 and every test result — hence every
+    // boundary — is identical to hashing from the chunk start. (The skip
+    // must not pass the first test itself, hence the max(mask_bits, 1)
+    // clamp for degenerate 1-byte avg sizes.)
+    const std::size_t mask_bits = std::max<std::size_t>(
+        static_cast<std::size_t>(std::countr_zero(p.avg_size)), 1);
+    skip_ = min_ > mask_bits ? min_ - mask_bits : 0;
+    out_.reserve(total / p.avg_size + 1);
+  }
+
+  void feed(byte_view piece) {
+    // The hash and the length live in locals: the piece's bytes may alias
+    // any member, so a member in the loop would be reloaded every byte.
+    const std::uint8_t* const p = piece.data();
+    const std::size_t n = piece.size();
+    const std::uint64_t mask = mask_;
+    const std::size_t min = min_;
+    std::uint64_t h = hash_;
+    std::size_t len = len_;
+    std::size_t i = 0;
+    while (i < n) {
+      if (len < skip_) {  // bytes below the hash start only count
+        const std::size_t take = std::min(skip_ - len, n - i);
+        len += take;
+        i += take;
+        continue;
+      }
+      // Hash up to max_size; the bytes that leave the chunk shorter than
+      // min_size are hashed untested, the rest tested one by one.
+      const std::size_t stop = i + std::min(n - i, max_ - len);
+      const std::size_t untested = len + 1 < min ? min - 1 - len : 0;
+      const std::size_t warm = i + std::min(stop - i, untested);
+      std::size_t j = i;
+      for (; j < warm; ++j) h = (h << 1) + kGear[p[j]];
+      bool cut = false;
+      for (; j < stop; ++j) {
+        h = (h << 1) + kGear[p[j]];
+        if ((h & mask) == 0) {
+          cut = true;
+          ++j;
+          break;
+        }
+      }
+      len += j - i;
+      i = j;
+      if (cut || len == max_) {
+        out_.push_back({start_, len});
+        start_ += len;
+        len = 0;
+        h = 0;
+      }
+    }
+    hash_ = h;
+    len_ = len;
+  }
+
+  std::vector<chunk_ref> finish() {
+    if (len_ > 0) out_.push_back({start_, len_});
+    return std::move(out_);
+  }
+
+ private:
+  std::uint64_t mask_;
+  std::size_t min_, max_, skip_;
+  std::uint64_t hash_ = 0;
+  std::size_t len_ = 0;    ///< bytes into the current chunk
+  std::size_t start_ = 0;  ///< stream offset of the current chunk
+  std::vector<chunk_ref> out_;
+};
+
 }  // namespace
 
 const std::uint64_t* gear_table() { return kGear.data(); }
 
 std::vector<chunk_ref> content_defined_chunks(byte_view data,
                                               cdc_params params) {
-  assert(params.min_size > 0 && params.min_size <= params.avg_size &&
-         params.avg_size <= params.max_size);
-  assert((params.avg_size & (params.avg_size - 1)) == 0 &&
-         "avg_size must be a power of two");
-  const std::uint64_t mask = params.avg_size - 1;
+  cdc_cutter cut(params, data.size());
+  cut.feed(data);
+  return cut.finish();
+}
 
-  // Min-size skipping: the cut test (h & mask) == 0 reads only the low
-  // log2(avg_size) bits of h, and h = Σ_j gear[data[j]] << (len−1−j), so
-  // those bits depend only on the last log2(avg_size) bytes hashed. The
-  // first test fires at offset min_size−1, so hashing can start at offset
-  // min_size − mask_bits with h = 0 and every test result — hence every
-  // boundary — is identical to hashing from the chunk start.
-  // (skip must also not move past the first test offset itself, hence the
-  // max(mask_bits, 1) clamp for degenerate 1-byte avg sizes.)
-  const std::size_t mask_bits = std::max<std::size_t>(
-      static_cast<std::size_t>(std::countr_zero(params.avg_size)), 1);
-  const std::size_t skip =
-      params.min_size > mask_bits ? params.min_size - mask_bits : 0;
-
-  std::vector<chunk_ref> out;
-  out.reserve(data.size() / params.avg_size + 1);
-  std::size_t start = 0;
-  while (start < data.size()) {
-    const std::size_t remain = data.size() - start;
-    if (remain <= params.min_size) {
-      out.push_back({start, remain});
-      break;
-    }
-    const std::size_t limit = std::min(remain, params.max_size);
-    const std::uint8_t* p = data.data() + start;
-    std::uint64_t h = 0;
-    std::size_t len;
-    for (len = skip; len < limit; ++len) {
-      h = (h << 1) + kGear[p[len]];
-      if (len + 1 >= params.min_size && (h & mask) == 0) {
-        ++len;
-        break;
-      }
-    }
-    out.push_back({start, len});
-    start += len;
-  }
-  return out;
+std::vector<chunk_ref> content_defined_chunks(const content_ref& data,
+                                              cdc_params params) {
+  cdc_cutter cut(params, data.size());
+  data.walk([&](byte_view seg) { cut.feed(seg); });
+  return cut.finish();
 }
 
 }  // namespace cloudsync

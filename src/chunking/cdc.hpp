@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "chunking/fixed_chunker.hpp"
+#include "store/content_ref.hpp"
 #include "util/bytes.hpp"
 
 namespace cloudsync {
@@ -25,9 +26,15 @@ struct cdc_params {
 std::vector<chunk_ref> content_defined_chunks(byte_view data,
                                               cdc_params params = {});
 
-/// The 256-entry gear table (deterministic, process-wide). Exposed so fused
-/// streaming pipelines can run the same cut rule incrementally and land on
-/// boundaries identical to content_defined_chunks().
+/// The same boundaries over a rope, walking its segments in place (no
+/// flatten): both overloads run one streaming cutter, so how the bytes are
+/// split into segments never moves a boundary.
+std::vector<chunk_ref> content_defined_chunks(const content_ref& data,
+                                              cdc_params params = {});
+
+/// The 256-entry gear table (deterministic, process-wide). Exposed for the
+/// scalar reference chunker that bench/kernel_report checks these
+/// boundaries against.
 const std::uint64_t* gear_table();
 
 }  // namespace cloudsync

@@ -604,6 +604,9 @@ file_delta parse_delta(byte_view wire) {
   if (!bs || !nfs || !nops) return fail("truncated header");
   delta.block_size = static_cast<std::size_t>(*bs);
   delta.new_file_size = *nfs;
+  // Every op takes at least a tag byte and a varint byte: reject a count the
+  // remaining body cannot hold before reserving room for it.
+  if (*nops > (body.size() - pos) / 2) return fail("op count exceeds body");
   delta.ops.reserve(static_cast<std::size_t>(*nops));
   for (std::uint64_t i = 0; i < *nops; ++i) {
     if (pos >= body.size()) return fail("truncated op");
@@ -619,7 +622,7 @@ file_delta parse_delta(byte_view wire) {
     } else if (tag == kOpLiteral) {
       op.op = delta_op::kind::literal;
       const auto len = get_varint(body, pos);
-      if (!len || pos + *len > body.size()) return fail("truncated literal");
+      if (!len || *len > body.size() - pos) return fail("truncated literal");
       op.bytes.assign(body.begin() + static_cast<std::ptrdiff_t>(pos),
                       body.begin() + static_cast<std::ptrdiff_t>(pos + *len));
       pos += static_cast<std::size_t>(*len);

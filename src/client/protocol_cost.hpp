@@ -1,17 +1,18 @@
 // Analytical per-update protocol cost model + adaptive selector.
 //
 // For each registered sync protocol the model predicts the app-level wire
-// bytes (up and down) and the round trips one update would cost, from inputs
-// the byte_pipeline computes in a single pass over the new content:
-//   - file size
+// bytes (up and down) and the round trips one update would cost, from the
+// file size, from the two features the byte_pipeline computes in a single
+// pass over the new content:
 //   - chunk-level similarity vs the shadow signature (per-block weak sums)
 //   - an entropy-based compressibility estimate
-//   - dedup-index hit probability (synced-hash set + observed hit EWMA)
-// plus the tcp cost model's RTT/bandwidth for the latency term. The adaptive
-// selector scores every eligible protocol and picks the predicted-cheapest;
-// a calibration loop compares each prediction against the metered actuals of
-// the plan that actually shipped and feeds the observed error back as a
-// per-protocol multiplicative correction factor.
+// and from the selector's dedup-index hit probability (synced-hash set +
+// observed hit EWMA), plus the tcp cost model's RTT/bandwidth for the
+// latency term. The adaptive selector scores every eligible protocol and
+// picks the predicted-cheapest; a calibration loop compares each prediction
+// against the metered actuals of the plan that actually shipped and feeds
+// the observed error back as a per-protocol multiplicative correction
+// factor.
 //
 // Determinism: feature extraction and prediction are pure CPU — no RNG, no
 // clock, no meter. In service_default / forced modes the selector does not

@@ -612,7 +612,6 @@ planning_env sync_client::planning_environment() const {
   env.method = opts_.method;
   env.cl = &cloud_;
   env.user = user_;
-  env.cache = opts_.cache;
   env.journaled = opts_.journal != nullptr;
   env.session_chunk_bytes = opts_.recovery.chunk_bytes;
   return env;

@@ -36,7 +36,6 @@
 #include "net/traffic_meter.hpp"
 #include "net/transfer_scheduler.hpp"
 #include "storage/cloud.hpp"
-#include "util/content_cache.hpp"
 #include "util/stats.hpp"
 
 namespace cloudsync {
@@ -89,10 +88,6 @@ struct sync_options {
   /// Start with an established (already-handshaken) connection, as a running
   /// client app would have; the warm-up bytes are not metered.
   bool warm_connection = true;
-  /// Memoize compressed-size computations here (nullptr = recompute every
-  /// time). Non-owning; typically &content_cache::global(). Cached results
-  /// are byte-identical to recomputation — this only trades CPU for memory.
-  content_cache* cache = nullptr;
   /// Fault injector shared with the network/storage layers (non-owning;
   /// nullptr or a disabled plan makes the whole retry machinery inert and
   /// the client behaves byte-identically to a fault-free build).

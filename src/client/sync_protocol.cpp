@@ -67,37 +67,32 @@ const char* to_string(protocol_id id) {
   return "protocol?";
 }
 
-std::uint64_t shipped_content_size(const planning_env& env,
+std::uint64_t shipped_content_size(const planning_env&,
                                    const content_ref& content, int level) {
   if (level <= 0 || content.empty()) return content.size();
-  const auto compute = [&] { return wire_payload_size_ref(content, level); };
-  if (env.cache == nullptr) return compute();
-  return env.cache->shipped_size_keyed(content.hash64(), content.size(),
-                                       level, compute);
+  return content_cache::global().shipped_size_keyed(
+      content.hash64(), content.size(), level,
+      [&] { return wire_payload_size_ref(content, level); });
 }
 
-std::uint64_t shipped_delta_size(const planning_env& env,
+std::uint64_t shipped_delta_size(const planning_env&,
                                  const delta_blueprint& bp, int level) {
   if (level <= 0 || bp.wire_size == 0) return bp.wire_size;
-  const auto compute = [&] { return wire_payload_size_delta(bp.delta, level); };
-  if (env.cache == nullptr) return compute();
-  return env.cache->shipped_size_keyed(bp.wire_hash, bp.wire_size, level,
-                                       compute);
+  return content_cache::global().shipped_size_keyed(
+      bp.wire_hash, bp.wire_size, level,
+      [&] { return wire_payload_size_delta(bp.delta, level); });
 }
 
 const file_signature& shadow_signature(const planning_env& env,
                                        shadow_entry& sh) {
   const std::size_t block_size = env.profile->delta_chunk_size;
   if (!sh.sig || sh.sig_block_size != block_size) {
-    auto sign = [&]() -> signature_ptr {
-      return std::make_shared<const file_signature>(
-          compute_signature_ref(sh.content, block_size));
-    };
-    sh.sig = env.cache != nullptr
-                 ? signature_memo().get_or_compute_keyed(
-                       sh.content.hash64(), sh.content.size(), block_size,
-                       sign)
-                 : sign();
+    sh.sig = signature_memo().get_or_compute_keyed(
+        sh.content.hash64(), sh.content.size(), block_size,
+        [&]() -> signature_ptr {
+          return std::make_shared<const file_signature>(
+              compute_signature_ref(sh.content, block_size));
+        });
     sh.sig_block_size = block_size;
     sh.sig_salt = signature_salt(*sh.sig);
   }
@@ -179,12 +174,8 @@ class rsync_protocol final : public sync_protocol {
     // alongside the signature), which together determine the delta exactly.
     // The memo stores the ref-free skeleton; the blueprint's rope refs are
     // re-bound to this plan's content and die with the plan.
-    const skeleton_ptr sk =
-        env.cache != nullptr
-            ? delta_memo().get_or_compute_keyed(content.hash64(),
-                                                content.size(), sh.sig_salt,
-                                                plan_skeleton)
-            : plan_skeleton();
+    const skeleton_ptr sk = delta_memo().get_or_compute_keyed(
+        content.hash64(), content.size(), sh.sig_salt, plan_skeleton);
     auto bp = std::make_shared<delta_blueprint>();
     bp->delta = delta_from_events(sig.block_size, content, sk->events);
     bp->wire_size = sk->wire_size;

@@ -98,7 +98,6 @@ struct planning_env {
   access_method method = access_method::pc_client;
   cloud* cl = nullptr;
   user_id user = 0;
-  content_cache* cache = nullptr;  ///< nullptr = recompute every size
   bool journaled = false;          ///< uploads ship through chunked sessions
   std::size_t session_chunk_bytes = 0;  ///< recovery chunk size when journaled
 
@@ -171,15 +170,17 @@ const sync_protocol& select_service_default(const planning_env& env,
 // ---------------------------------------------------------------------------
 
 /// Wire-payload size of `content` under compression `level`, memoized in
-/// env.cache under its (content hash, size, level) key; a miss walks the
-/// rope through the stream sizer.
-std::uint64_t shipped_content_size(const planning_env& env,
+/// content_cache::global() under its (content hash, size, level) key; a miss
+/// walks the rope through the stream sizer. The planning_env parameter is
+/// unused: perfbench wraps this signature.
+std::uint64_t shipped_content_size(const planning_env&,
                                    const content_ref& content, int level);
 
-/// Wire-payload size of a planned delta's serialized bytes, memoized under
-/// its (wire hash, wire size, level) key; a miss walks the delta's wire
-/// through the stream sizer.
-std::uint64_t shipped_delta_size(const planning_env& env,
+/// Wire-payload size of a planned delta's serialized bytes, memoized in
+/// content_cache::global() under its (wire hash, wire size, level) key; a
+/// miss walks the delta's wire through the stream sizer. The planning_env
+/// parameter is unused, as above.
+std::uint64_t shipped_delta_size(const planning_env&,
                                  const delta_blueprint& bp, int level);
 
 /// The signature of a shadow, computing and memoizing it on first use and
@@ -188,9 +189,8 @@ const file_signature& shadow_signature(const planning_env& env,
                                        shadow_entry& sh);
 
 /// Observability for the process-wide incremental-sync memos (rsync
-/// signatures and delta blueprints, consulted when planning_env::cache is
-/// set): hit/miss counters for bench reports, and a reset for clean
-/// before/after measurements.
+/// signatures and delta blueprints): hit/miss counters for bench reports,
+/// and a reset so a measurement can start cold.
 content_cache_stats signature_memo_stats();
 content_cache_stats delta_memo_stats();
 void clear_incremental_sync_memos();

@@ -11,8 +11,6 @@ cloud_config cloud_config_for(const experiment_config& cfg) {
   cc.dedup = cfg.profile.dedup;
   cc.use_chunk_store = cfg.use_chunk_store;
   cc.chunk_store_chunk_size = cfg.profile.delta_chunk_size;
-  cc.fingerprint_cache =
-      cfg.use_content_cache ? &global_fingerprint_cache() : nullptr;
   return cc;
 }
 }  // namespace
@@ -56,7 +54,6 @@ void experiment_env::build_client(station& st) {
   opts.method = cfg_.method;
   opts.hardware = cfg_.hardware;
   opts.link = cfg_.link;
-  opts.cache = cfg_.use_content_cache ? &content_cache::global() : nullptr;
   opts.faults = faults_.get();
   opts.retry = cfg_.retry;
   opts.transfer = cfg_.transfer;

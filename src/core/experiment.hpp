@@ -26,9 +26,6 @@ struct experiment_config {
   /// Use the Cumulus-style chunk-store cloud substrate (§4.3 footnote)
   /// instead of whole-file objects behind the GET+PUT+DELETE mid-layer.
   bool use_chunk_store = false;
-  /// Memoize compressed-size computations in the process-wide content cache
-  /// (results are byte-identical either way; see docs/PERFORMANCE.md).
-  bool use_content_cache = true;
   /// Deterministic failure schedule (default: disabled — the injector is
   /// wired but inert, so fault-free runs are byte-identical to older builds).
   fault_plan faults{};
@@ -123,17 +120,14 @@ class experiment_env {
   /// its RNG draws are well-ordered).
   fault_injector& faults() { return *faults_; }
 
-  /// Synthetic content generation, memoized process-wide when content
-  /// caching is on (experiment grids replay the same seeds across services,
-  /// so generation itself is a hot path). Bit-identical either way.
+  /// Synthetic content generation, memoized process-wide (experiment grids
+  /// replay the same seeds across services, so generation itself is a hot
+  /// path). Bit-identical to make_compressed_file / make_text_file, rng
+  /// state included.
   byte_buffer gen_compressed(std::size_t z) {
-    return cfg_.use_content_cache ? make_compressed_file_cached(rng_, z)
-                                  : make_compressed_file(rng_, z);
+    return make_compressed_file_cached(rng_, z);
   }
-  byte_buffer gen_text(std::size_t x) {
-    return cfg_.use_content_cache ? make_text_file_cached(rng_, x)
-                                  : make_text_file(rng_, x);
-  }
+  byte_buffer gen_text(std::size_t x) { return make_text_file_cached(rng_, x); }
 
  private:
   /// Retire the crashed incarnation and schedule its restart + recovery.

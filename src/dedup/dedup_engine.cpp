@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "pipeline/byte_pipeline.hpp"
-
 namespace cloudsync {
 
 fingerprint_memo& global_fingerprint_cache() {
@@ -11,38 +9,30 @@ fingerprint_memo& global_fingerprint_cache() {
   return memo;
 }
 
-fingerprint dedup_engine::fp(byte_view data) const {
-  if (memo_ == nullptr) return fingerprint_of(data);
-  return memo_->get_or_compute(data, /*salt=*/0,
-                               [&] { return fingerprint_of(data); });
-}
-
-std::vector<chunk_ref> dedup_engine::chunk_layout(byte_view data) const {
-  return policy_.granularity == dedup_granularity::content_defined
-             ? content_defined_chunks(data, policy_.cdc)
-             : fixed_chunks(data, policy_.block_size);
-}
-
 fingerprint dedup_engine::fp_range(const content_ref& data, std::size_t off,
                                    std::size_t len) const {
-  const auto compute = [&] {
-    sha256_hasher h;
-    data.walk_range(off, len, [&](byte_view v) { h.update(v); });
-    return h.finish();
-  };
-  if (memo_ == nullptr) return compute();
-  // hash64_range matches content_hash64 of the flat bytes, so rope and flat
-  // paths share memo entries.
-  return memo_->get_or_compute_keyed(data.hash64_range(off, len), len,
-                                     /*salt=*/0, compute);
+  // hash64_range equals content_hash64 of the flat bytes, so every entry
+  // point that fingerprints the same bytes shares one memo entry.
+  return global_fingerprint_cache().get_or_compute_keyed(
+      data.hash64_range(off, len), len, /*salt=*/0, [&] {
+        sha256_hasher h;
+        data.walk_range(off, len, [&](byte_view v) { h.update(v); });
+        return h.finish();
+      });
 }
 
 std::vector<chunk_ref> dedup_engine::chunk_layout(
     const content_ref& data) const {
-  if (policy_.granularity == dedup_granularity::content_defined) {
-    content_request req;
-    req.cdc = policy_.cdc;
-    return analyze_content(data, req).cdc_chunks;
+  if (data.empty()) return {};
+  switch (policy_.granularity) {
+    case dedup_granularity::none:
+      return {};
+    case dedup_granularity::full_file:
+      return {{0, data.size()}};
+    case dedup_granularity::content_defined:
+      return content_defined_chunks(data, policy_.cdc);
+    case dedup_granularity::fixed_block:
+      break;
   }
   // Fixed layout depends only on the size — same blocks as fixed_chunks().
   std::vector<chunk_ref> out;
@@ -80,178 +70,43 @@ std::uint64_t expected_fingerprint_count(const dedup_policy& policy,
 }
 
 dedup_result dedup_engine::analyze(user_id user, byte_view data) const {
-  dedup_result res;
-  switch (policy_.granularity) {
-    case dedup_granularity::none:
-      res.new_bytes = data.size();
-      if (!data.empty()) res.new_chunks.push_back({0, data.size()});
-      return res;
-
-    case dedup_granularity::full_file: {
-      res.fingerprints_sent = 1;
-      if (!data.empty() &&
-          index_.contains(scope_for(user), fp(data))) {
-        res.duplicate_bytes = data.size();
-        res.whole_file_duplicate = true;
-      } else {
-        res.new_bytes = data.size();
-        if (!data.empty()) res.new_chunks.push_back({0, data.size()});
-      }
-      return res;
-    }
-
-    case dedup_granularity::content_defined:
-    case dedup_granularity::fixed_block: {
-      const auto chunks = chunk_layout(data);
-      res.fingerprints_sent = chunks.size();
-      if (memo_ == nullptr) {
-        // No fingerprint memo: fuse the per-chunk hashing into one walk of
-        // the buffer instead of re-entering sha256 per lookup.
-        const auto fps = chunk_digests(data, chunks);
-        for (std::size_t i = 0; i < chunks.size(); ++i) {
-          if (index_.contains(scope_for(user), fps[i])) {
-            res.duplicate_bytes += chunks[i].size;
-          } else {
-            res.new_bytes += chunks[i].size;
-            res.new_chunks.push_back(chunks[i]);
-          }
-        }
-      } else {
-        for (const chunk_ref& c : chunks) {
-          if (index_.contains(scope_for(user), fp(slice(data, c)))) {
-            res.duplicate_bytes += c.size;
-          } else {
-            res.new_bytes += c.size;
-            res.new_chunks.push_back(c);
-          }
-        }
-      }
-      res.whole_file_duplicate = !data.empty() && res.new_bytes == 0;
-      return res;
-    }
-  }
-  return res;
-}
-
-void dedup_engine::commit(user_id user, byte_view data) {
-  if (data.empty()) return;
-  switch (policy_.granularity) {
-    case dedup_granularity::none:
-      return;
-    case dedup_granularity::full_file:
-      index_.add(scope_for(user), fp(data));
-      return;
-    case dedup_granularity::content_defined:
-    case dedup_granularity::fixed_block:
-      for (const chunk_ref& c : chunk_layout(data)) {
-        index_.add(scope_for(user), fp(slice(data, c)));
-      }
-      return;
-  }
+  return analyze(user, content_ref::from_bytes(data));
 }
 
 dedup_result dedup_engine::analyze(user_id user,
                                    const content_ref& data) const {
   dedup_result res;
-  switch (policy_.granularity) {
-    case dedup_granularity::none:
-      res.new_bytes = data.size();
-      if (!data.empty()) res.new_chunks.push_back({0, data.size()});
-      return res;
-
-    case dedup_granularity::full_file: {
-      res.fingerprints_sent = 1;
-      if (!data.empty() &&
-          index_.contains(scope_for(user), fp_range(data, 0, data.size()))) {
-        res.duplicate_bytes = data.size();
-        res.whole_file_duplicate = true;
-      } else {
-        res.new_bytes = data.size();
-        if (!data.empty()) res.new_chunks.push_back({0, data.size()});
-      }
-      return res;
-    }
-
-    case dedup_granularity::content_defined:
-    case dedup_granularity::fixed_block: {
-      const auto chunks = chunk_layout(data);
-      res.fingerprints_sent = chunks.size();
-      if (memo_ == nullptr) {
-        const auto fps = chunk_digests(data, chunks);
-        for (std::size_t i = 0; i < chunks.size(); ++i) {
-          if (index_.contains(scope_for(user), fps[i])) {
-            res.duplicate_bytes += chunks[i].size;
-          } else {
-            res.new_bytes += chunks[i].size;
-            res.new_chunks.push_back(chunks[i]);
-          }
-        }
-      } else {
-        for (const chunk_ref& c : chunks) {
-          if (index_.contains(scope_for(user),
-                              fp_range(data, c.offset, c.size))) {
-            res.duplicate_bytes += c.size;
-          } else {
-            res.new_bytes += c.size;
-            res.new_chunks.push_back(c);
-          }
-        }
-      }
-      res.whole_file_duplicate = !data.empty() && res.new_bytes == 0;
-      return res;
+  if (policy_.granularity == dedup_granularity::none) {
+    res.new_bytes = data.size();
+    if (!data.empty()) res.new_chunks.push_back({0, data.size()});
+    return res;
+  }
+  const std::vector<chunk_ref> chunks = chunk_layout(data);
+  // The whole-file fingerprint is sent even for an empty file.
+  res.fingerprints_sent = policy_.granularity == dedup_granularity::full_file
+                              ? 1
+                              : chunks.size();
+  for (const chunk_ref& c : chunks) {
+    if (index_.contains(scope_for(user), fp_range(data, c.offset, c.size))) {
+      res.duplicate_bytes += c.size;
+    } else {
+      res.new_bytes += c.size;
+      res.new_chunks.push_back(c);
     }
   }
+  res.whole_file_duplicate = !data.empty() && res.new_bytes == 0;
   return res;
 }
 
 void dedup_engine::commit(user_id user, const content_ref& data) {
-  if (data.empty()) return;
-  switch (policy_.granularity) {
-    case dedup_granularity::none:
-      return;
-    case dedup_granularity::full_file:
-      index_.add(scope_for(user), fp_range(data, 0, data.size()));
-      return;
-    case dedup_granularity::content_defined:
-    case dedup_granularity::fixed_block:
-      for (const chunk_ref& c : chunk_layout(data)) {
-        index_.add(scope_for(user), fp_range(data, c.offset, c.size));
-      }
-      return;
+  for (const chunk_ref& c : chunk_layout(data)) {
+    index_.add(scope_for(user), fp_range(data, c.offset, c.size));
   }
 }
 
 void dedup_engine::retract(user_id user, const content_ref& data) {
-  if (data.empty()) return;
-  switch (policy_.granularity) {
-    case dedup_granularity::none:
-      return;
-    case dedup_granularity::full_file:
-      index_.remove(scope_for(user), fp_range(data, 0, data.size()));
-      return;
-    case dedup_granularity::content_defined:
-    case dedup_granularity::fixed_block:
-      for (const chunk_ref& c : chunk_layout(data)) {
-        index_.remove(scope_for(user), fp_range(data, c.offset, c.size));
-      }
-      return;
-  }
-}
-
-void dedup_engine::retract(user_id user, byte_view data) {
-  if (data.empty()) return;
-  switch (policy_.granularity) {
-    case dedup_granularity::none:
-      return;
-    case dedup_granularity::full_file:
-      index_.remove(scope_for(user), fp(data));
-      return;
-    case dedup_granularity::content_defined:
-    case dedup_granularity::fixed_block:
-      for (const chunk_ref& c : chunk_layout(data)) {
-        index_.remove(scope_for(user), fp(slice(data, c)));
-      }
-      return;
+  for (const chunk_ref& c : chunk_layout(data)) {
+    index_.remove(scope_for(user), fp_range(data, c.offset, c.size));
   }
 }
 

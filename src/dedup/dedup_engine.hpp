@@ -67,37 +67,32 @@ std::uint64_t expected_fingerprint_count(const dedup_policy& policy,
 
 class dedup_engine {
  public:
-  /// `memo` (optional, non-owning) caches chunk fingerprints across engines
-  /// and threads; results are identical with or without it.
-  explicit dedup_engine(dedup_policy policy, fingerprint_memo* memo = nullptr)
-      : policy_(policy), memo_(memo) {}
+  explicit dedup_engine(dedup_policy policy) : policy_(policy) {}
 
   const dedup_policy& policy() const { return policy_; }
 
-  /// Compare `data` against the index without modifying it.
-  dedup_result analyze(user_id user, byte_view data) const;
-  /// Rope entry point: chunk layout and fingerprints are computed by walking
-  /// segments in place (no flatten); results and memo keys are identical to
-  /// the flat overload on the same logical bytes.
+  /// Compare `data` against the index without modifying it. The chunk
+  /// layout and the fingerprints come from walking the rope's segments in
+  /// place (no flatten); every fingerprint goes through
+  /// global_fingerprint_cache().
   dedup_result analyze(user_id user, const content_ref& data) const;
+  /// The same on flat bytes, interned into a rope first. perfbench wraps
+  /// this signature; it hits the same memo entries as the rope overload.
+  dedup_result analyze(user_id user, byte_view data) const;
 
   /// Register `data`'s fingerprints as stored (after a successful upload).
-  void commit(user_id user, byte_view data);
   void commit(user_id user, const content_ref& data);
 
   /// Un-register (cloud-side garbage collection after a real deletion).
-  void retract(user_id user, byte_view data);
   void retract(user_id user, const content_ref& data);
 
  private:
-  /// Block layout under the active granularity (fixed or content-defined).
-  std::vector<chunk_ref> chunk_layout(byte_view data) const;
+  /// The fingerprinted chunks under the active granularity: none for
+  /// `none` or empty content, the whole file for `full_file`, else the
+  /// fixed or content-defined blocks.
   std::vector<chunk_ref> chunk_layout(const content_ref& data) const;
 
-  /// fingerprint_of(), memoized when a cache is attached.
-  fingerprint fp(byte_view data) const;
-  /// Streaming fingerprint of a rope sub-range; memoized under the same key
-  /// as fp() on the flat bytes.
+  /// Memoized SHA-256 of a rope sub-range, keyed by its content hash.
   fingerprint fp_range(const content_ref& data, std::size_t off,
                        std::size_t len) const;
 
@@ -106,7 +101,6 @@ class dedup_engine {
   }
 
   dedup_policy policy_;
-  fingerprint_memo* memo_ = nullptr;
   dedup_index index_;
 };
 

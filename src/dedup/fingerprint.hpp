@@ -5,10 +5,6 @@
 // the paper's Algorithm-1 probe rely on).
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
-#include "chunking/fixed_chunker.hpp"
 #include "util/bytes.hpp"
 #include "util/sha256.hpp"
 
@@ -17,9 +13,5 @@ namespace cloudsync {
 using fingerprint = sha256_digest;
 
 inline fingerprint fingerprint_of(byte_view data) { return sha256(data); }
-
-/// Fingerprint each head-anchored fixed-size block of `data`.
-std::vector<fingerprint> block_fingerprints(byte_view data,
-                                            std::size_t block_size);
 
 }  // namespace cloudsync

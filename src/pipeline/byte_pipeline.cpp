@@ -1,91 +1,28 @@
 #include "pipeline/byte_pipeline.hpp"
 
-#include <bit>
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
 
 #include "util/adler32.hpp"
-#include "util/crc32.hpp"
 
 namespace cloudsync {
 
 namespace {
 
 /// Tile size for the one-shot walk: big enough to amortize per-stage call
-/// overhead, small enough that a tile fed to five kernels stays in L1/L2.
+/// overhead, small enough that a tile stays in L1/L2 across both stages.
 constexpr std::size_t kTile = 64 * 1024;
 
 }  // namespace
 
-byte_pipeline::byte_pipeline(content_request req) : req_(std::move(req)) {
-  if (req_.cdc) {
-    const cdc_params& p = *req_.cdc;
-    assert(p.min_size > 0 && p.min_size <= p.avg_size &&
-           p.avg_size <= p.max_size);
-    assert((p.avg_size & (p.avg_size - 1)) == 0 &&
-           "avg_size must be a power of two");
-    cdc_mask_ = p.avg_size - 1;
-    // Same min-size skip as content_defined_chunks(): the masked cut test
-    // reads only the low log2(avg_size) bits of the gear hash, which depend
-    // only on the last log2(avg_size) bytes, so hashing may start there.
-    const std::uint64_t mask_bits = std::max<std::uint64_t>(
-        static_cast<std::uint64_t>(std::countr_zero(p.avg_size)), 1);
-    cdc_skip_ = p.min_size > mask_bits ? p.min_size - mask_bits : 0;
-  }
-}
-
-void byte_pipeline::feed_cdc(byte_view tile) {
-  const cdc_params& p = *req_.cdc;
-  const std::uint64_t* gear = gear_table();
-  std::size_t i = 0;
-  while (i < tile.size()) {
-    // Phase 1: skip ahead — bytes below the hash-start offset only count.
-    if (cdc_len_ < cdc_skip_) {
-      const std::uint64_t take = std::min<std::uint64_t>(
-          cdc_skip_ - cdc_len_, tile.size() - i);
-      cdc_len_ += take;
-      i += static_cast<std::size_t>(take);
-      continue;
-    }
-    // Phase 2: hash until a cut fires or the max size is reached.
-    std::uint64_t h = cdc_hash_;
-    std::uint64_t len = cdc_len_;
-    bool cut = false;
-    while (i < tile.size()) {
-      h = (h << 1) + gear[tile[i]];
-      ++len;
-      ++i;
-      if (len >= p.min_size && (h & cdc_mask_) == 0) {
-        cut = true;
-        break;
-      }
-      if (len >= p.max_size) {
-        cut = true;
-        break;
-      }
-    }
-    cdc_hash_ = h;
-    cdc_len_ = len;
-    if (cut) {
-      out_.cdc_chunks.push_back({static_cast<std::size_t>(cdc_start_),
-                                 static_cast<std::size_t>(cdc_len_)});
-      cdc_start_ += cdc_len_;
-      cdc_len_ = 0;
-      cdc_hash_ = 0;
-    }
-  }
-}
+byte_pipeline::byte_pipeline(content_request req) : req_(std::move(req)) {}
 
 void byte_pipeline::feed(byte_view tile) {
   assert(!finished_);
   if (tile.empty()) return;
   out_.total_bytes += tile.size();
-  if (req_.sha256) sha256_.update(tile);
-  if (req_.md5) md5_.update(tile);
-  if (req_.sha1) sha1_.update(tile);
-  if (req_.crc32) crc_ = cloudsync::crc32(tile, crc_);
-  if (req_.weak) weak_accumulate(tile, weak_a_, weak_b_);
   if (req_.block_weak) {
     // Split the tile at fixed-block boundaries so each block's accumulator
     // sees exactly its own bytes — identical to weak_checksum() per block.
@@ -106,17 +43,11 @@ void byte_pipeline::feed(byte_view tile) {
   if (req_.entropy) {
     for (const std::uint8_t b : tile) ++hist_[b];
   }
-  if (req_.cdc) feed_cdc(tile);
 }
 
 content_report byte_pipeline::finish() {
   if (finished_) throw std::logic_error("byte_pipeline::finish called twice");
   finished_ = true;
-  if (req_.sha256) out_.sha256 = sha256_.finish();
-  if (req_.md5) out_.md5 = md5_.finish();
-  if (req_.sha1) out_.sha1 = sha1_.finish();
-  if (req_.crc32) out_.crc32 = crc_;
-  if (req_.weak) out_.weak = (weak_b_ << 16) | (weak_a_ & 0xffffu);
   if (req_.block_weak && bw_len_ > 0) {
     out_.block_weak.push_back((bw_b_ << 16) | (bw_a_ & 0xffffu));
   }
@@ -130,20 +61,6 @@ content_report byte_pipeline::finish() {
     }
     out_.entropy_bits_per_byte = bits / static_cast<double>(out_.total_bytes);
   }
-  if (req_.cdc && cdc_len_ > 0) {
-    out_.cdc_chunks.push_back({static_cast<std::size_t>(cdc_start_),
-                               static_cast<std::size_t>(cdc_len_)});
-  }
-  if (req_.fixed_block) {
-    // Boundaries are pure arithmetic — no byte walking needed.
-    const std::size_t bs = *req_.fixed_block;
-    assert(bs > 0);
-    const std::size_t n = static_cast<std::size_t>(out_.total_bytes);
-    out_.fixed_chunks.reserve(n / bs + 1);
-    for (std::size_t off = 0; off < n; off += bs) {
-      out_.fixed_chunks.push_back({off, std::min(bs, n - off)});
-    }
-  }
   return std::move(out_);
 }
 
@@ -153,16 +70,6 @@ content_report analyze_content(byte_view data, const content_request& req) {
     pipe.feed(data.subspan(off, std::min(kTile, data.size() - off)));
   }
   return pipe.finish();
-}
-
-std::vector<sha256_digest> chunk_digests(
-    byte_view data, const std::vector<chunk_ref>& layout) {
-  std::vector<sha256_digest> out;
-  out.reserve(layout.size());
-  for (const chunk_ref& c : layout) {
-    out.push_back(sha256(slice(data, c)));
-  }
-  return out;
 }
 
 content_report analyze_content(const content_ref& data,
@@ -176,19 +83,6 @@ content_report analyze_content(const content_ref& data,
     }
   });
   return pipe.finish();
-}
-
-std::vector<sha256_digest> chunk_digests(
-    const content_ref& data, const std::vector<chunk_ref>& layout) {
-  std::vector<sha256_digest> out;
-  out.reserve(layout.size());
-  for (const chunk_ref& c : layout) {
-    sha256_hasher h;
-    data.walk_range(c.offset, c.size,
-                    [&](byte_view seg) { h.update(seg); });
-    out.push_back(h.finish());
-  }
-  return out;
 }
 
 }  // namespace cloudsync

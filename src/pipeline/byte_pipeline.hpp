@@ -1,41 +1,27 @@
-// Fused single-pass content pipeline.
+// Single-pass feature pipeline for the protocol cost model.
 //
-// Every layer of the simulator wants something different from the same
-// bytes: the dedup engine wants chunk boundaries and SHA-256 fingerprints,
-// incremental sync wants adler weak sums and MD5 strong sums, the wire
-// format wants CRC-32, the compression planner wants a size estimate. Run
-// separately, each stage streams the whole buffer through the core again.
-// `byte_pipeline` walks the content once, in cache-sized tiles, and feeds
-// every enabled kernel from the tile while it is hot — no intermediate
-// vectors, no repeated end-to-end passes.
+// The adaptive selector (client/protocol_cost) wants two things from an
+// update's bytes before it picks a protocol: an order-0 entropy estimate of
+// their compressibility and the rsync weak sum of every fixed block, to
+// match against the shadow's signature. `byte_pipeline` computes both in one
+// walk, in cache-sized tiles, over flat bytes or rope segments in place.
 //
-// Determinism contract: every output is bit-identical to the corresponding
-// standalone kernel (sha256()/md5()/sha1()/crc32()/weak_checksum()/
-// content_defined_chunks()/fixed_chunks()), which the test suite asserts.
+// Determinism contract: any feed() split gives the same report, and each
+// per-block weak sum equals weak_checksum() of that fixed block, which the
+// test suite asserts.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "chunking/cdc.hpp"
-#include "chunking/fixed_chunker.hpp"
 #include "store/content_ref.hpp"
 #include "util/bytes.hpp"
-#include "util/digest.hpp"
-#include "util/md5.hpp"
-#include "util/sha1.hpp"
-#include "util/sha256.hpp"
 
 namespace cloudsync {
 
 /// Which stages the pass should run. Disabled stages cost nothing.
 struct content_request {
-  bool sha256 = false;
-  bool md5 = false;
-  bool sha1 = false;
-  bool crc32 = false;
-  bool weak = false;  ///< whole-buffer rsync weak checksum (adler a/b sums)
   /// Per-block rsync weak checksums over a fixed grid of this block size:
   /// the similarity probe of the protocol cost model. Each value matches
   /// weak_checksum() of the corresponding fixed block exactly.
@@ -43,23 +29,14 @@ struct content_request {
   /// Byte-histogram Huffman entropy, the streamable compressed-size
   /// estimate (bits assigned by an ideal order-0 coder).
   bool entropy = false;
-  std::optional<cdc_params> cdc;           ///< gear CDC boundaries
-  std::optional<std::size_t> fixed_block;  ///< fixed boundaries
 };
 
 /// Everything the pass produced. Only fields whose stage was requested are
-/// meaningful.
+/// meaningful, except total_bytes.
 struct content_report {
-  sha256_digest sha256{};
-  md5_digest md5{};
-  sha1_digest sha1{};
-  std::uint32_t crc32 = 0;
-  std::uint32_t weak = 0;
   std::vector<std::uint32_t> block_weak;  ///< one per fixed block, in order
   double entropy_bits_per_byte = 0.0;
   std::uint64_t total_bytes = 0;
-  std::vector<chunk_ref> cdc_chunks;
-  std::vector<chunk_ref> fixed_chunks;
 };
 
 /// Streaming stage machine: feed() the content in arrival order (any tile
@@ -71,30 +48,16 @@ class byte_pipeline {
   /// Fold one tile of content into every enabled stage.
   void feed(byte_view tile);
 
-  /// Flush chunker tails and finalize digests.
+  /// Flush the last partial block and finalize the entropy.
   content_report finish();
 
  private:
-  void feed_cdc(byte_view tile);
-
   content_request req_;
   content_report out_;
 
-  sha256_hasher sha256_;
-  md5_hasher md5_;
-  sha1_hasher sha1_;
-  std::uint32_t crc_ = 0;
-  std::uint32_t weak_a_ = 0, weak_b_ = 0;
   std::uint32_t bw_a_ = 0, bw_b_ = 0;  ///< block_weak accumulator
   std::size_t bw_len_ = 0;             ///< bytes into the current block
   std::uint64_t hist_[256] = {};
-
-  // Gear CDC chunk-in-progress (offsets are absolute in the stream).
-  std::uint64_t cdc_start_ = 0;
-  std::uint64_t cdc_len_ = 0;  ///< bytes consumed into the current chunk
-  std::uint64_t cdc_hash_ = 0;
-  std::uint64_t cdc_mask_ = 0;
-  std::uint64_t cdc_skip_ = 0;  ///< min-size hash skip (see cdc.cpp)
 
   bool finished_ = false;
 };
@@ -107,14 +70,5 @@ content_report analyze_content(byte_view data, const content_request& req);
 /// call on the same logical bytes.
 content_report analyze_content(const content_ref& data,
                                const content_request& req);
-
-/// Fused fingerprinting of a precomputed chunk layout: each chunk is walked
-/// once, producing the same digests as sha256(slice(data, c)) per chunk.
-std::vector<sha256_digest> chunk_digests(byte_view data,
-                                         const std::vector<chunk_ref>& layout);
-
-/// Rope variant: streams each chunk's range over the rope segments.
-std::vector<sha256_digest> chunk_digests(const content_ref& data,
-                                         const std::vector<chunk_ref>& layout);
 
 }  // namespace cloudsync

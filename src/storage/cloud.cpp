@@ -24,7 +24,7 @@ std::vector<std::uint64_t> session_ranges(std::uint64_t size,
 
 }  // namespace
 
-cloud::cloud(cloud_config cfg) : dedup_(cfg.dedup, cfg.fingerprint_cache) {
+cloud::cloud(cloud_config cfg) : dedup_(cfg.dedup) {
   if (cfg.use_chunk_store) {
     chunks_ =
         std::make_unique<chunk_backend>(store_, cfg.chunk_store_chunk_size);

@@ -43,9 +43,6 @@ struct cloud_config {
   /// history for rollback.
   bool use_chunk_store = false;
   std::size_t chunk_store_chunk_size = 512 * 1024;
-  /// Optional (non-owning) fingerprint memo for the dedup engine; cached
-  /// fingerprints are identical to recomputation, this only saves CPU.
-  fingerprint_memo* fingerprint_cache = nullptr;
 };
 
 class cloud {

@@ -16,9 +16,9 @@ namespace cloudsync {
 std::uint32_t weak_checksum(byte_view block);
 
 /// Streaming form: fold `data` into running (a, b) sums, exactly as if the
-/// bytes had been fed to the naive per-byte loop. Lets fused pipelines
-/// interleave the weak checksum with other kernels over the same tile;
-/// pack the result as (b << 16) | (a & 0xffff).
+/// bytes had been fed to the naive per-byte loop. Lets a stream (the byte
+/// pipeline's per-block sums, rsync's signature job) fold a block fed in
+/// pieces; pack the result as (b << 16) | (a & 0xffff).
 void weak_accumulate(byte_view data, std::uint32_t& a, std::uint32_t& b);
 
 /// Rolling window over a fixed block size.

@@ -126,12 +126,43 @@ TEST(Cdc, ShiftInvariance) {
 }
 
 TEST(Cdc, EmptyAndTiny) {
-  EXPECT_TRUE(content_defined_chunks({}).empty());
+  EXPECT_TRUE(content_defined_chunks(byte_view{}).empty());
+  EXPECT_TRUE(content_defined_chunks(content_ref{}).empty());
   rng r(8);
   const byte_buffer tiny = random_bytes(r, 100);
   const auto chunks = content_defined_chunks(tiny);
   ASSERT_EQ(chunks.size(), 1u);
   EXPECT_EQ(chunks[0].size, 100u);
+}
+
+TEST(Cdc, RopeMatchesFlatAtRandomCuts) {
+  // The rope overload streams segment by segment; a cut anywhere — inside
+  // the min-size skip, mid-hash, at a boundary, one byte long — must not
+  // move a boundary. Small parameters put many boundaries near the cuts.
+  rng r(10);
+  for (const cdc_params& p :
+       {cdc_params{}, cdc_params{64, 256, 1024}, cdc_params{1, 1, 4},
+        cdc_params{512, 512, 512}}) {
+    for (const std::size_t n : {0, 1, 100, 5'000, 200'000}) {
+      const byte_buffer data = random_bytes(r, n);
+      content_ref::builder b;
+      for (std::size_t off = 0; off < n;) {
+        const std::size_t len = std::min<std::size_t>(
+            n - off, 1 + r.uniform(r.chance(0.5) ? 8 : 3'000));
+        b.append(content_ref::adopt(byte_buffer(
+            data.begin() + static_cast<std::ptrdiff_t>(off),
+            data.begin() + static_cast<std::ptrdiff_t>(off + len))));
+        off += len;
+      }
+      const auto flat = content_defined_chunks(data, p);
+      const auto rope = content_defined_chunks(b.build(), p);
+      ASSERT_EQ(rope.size(), flat.size()) << "n=" << n;
+      for (std::size_t i = 0; i < flat.size(); ++i) {
+        ASSERT_EQ(rope[i].offset, flat[i].offset) << "n=" << n << " i=" << i;
+        ASSERT_EQ(rope[i].size, flat[i].size) << "n=" << n << " i=" << i;
+      }
+    }
+  }
 }
 
 TEST(Cdc, Deterministic) {

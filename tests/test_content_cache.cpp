@@ -122,24 +122,5 @@ TEST(GenerationMemo, CachedGenerationMatchesDirectBitForBit) {
   }
 }
 
-TEST(ExperimentCache, CacheOnAndOffProduceIdenticalTraffic) {
-  for (const service_profile& s : all_services()) {
-    experiment_config on;
-    on.profile = s;
-    experiment_config off = on;
-    on.use_content_cache = true;
-    off.use_content_cache = false;
-    EXPECT_EQ(measure_creation_traffic(on, 96 * 1024),
-              measure_creation_traffic(off, 96 * 1024))
-        << s.name;
-    EXPECT_EQ(measure_modification_traffic(on, 64 * 1024),
-              measure_modification_traffic(off, 64 * 1024))
-        << s.name;
-    EXPECT_EQ(measure_text_upload_traffic(on, 48 * 1024),
-              measure_text_upload_traffic(off, 48 * 1024))
-        << s.name;
-  }
-}
-
 }  // namespace
 }  // namespace cloudsync

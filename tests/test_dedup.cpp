@@ -43,12 +43,9 @@ TEST(DedupIndex, UniqueCount) {
   EXPECT_EQ(idx.unique_count(9), 0u);
 }
 
-TEST(BlockFingerprints, CountMatchesChunking) {
-  rng r(1);
-  const byte_buffer data = random_bytes(r, 10'000);
-  EXPECT_EQ(block_fingerprints(data, 4096).size(), 3u);
-  EXPECT_EQ(block_fingerprints(data, 10'000).size(), 1u);
-  EXPECT_TRUE(block_fingerprints({}, 4096).empty());
+/// Rope of `data`, the form the engine registers.
+content_ref rope(const byte_buffer& data) {
+  return content_ref::from_bytes(data);
 }
 
 TEST(DedupEngine, NoneShipsEverything) {
@@ -60,7 +57,7 @@ TEST(DedupEngine, NoneShipsEverything) {
   EXPECT_EQ(res.duplicate_bytes, 0u);
   EXPECT_EQ(res.fingerprints_sent, 0u);
   // commit is a no-op; re-analysis still ships everything
-  eng.commit(7, data);
+  eng.commit(7, rope(data));
   EXPECT_EQ(eng.analyze(7, data).new_bytes, 5000u);
 }
 
@@ -69,7 +66,7 @@ TEST(DedupEngine, FullFileDetectsExactCopy) {
   rng r(3);
   const byte_buffer data = random_bytes(r, 8000);
   EXPECT_EQ(eng.analyze(1, data).new_bytes, 8000u);
-  eng.commit(1, data);
+  eng.commit(1, rope(data));
   const dedup_result res = eng.analyze(1, data);
   EXPECT_TRUE(res.whole_file_duplicate);
   EXPECT_EQ(res.duplicate_bytes, 8000u);
@@ -81,7 +78,7 @@ TEST(DedupEngine, FullFileMissesModifiedCopy) {
   dedup_engine eng({dedup_granularity::full_file, 4 * MiB, false});
   rng r(4);
   byte_buffer data = random_bytes(r, 8000);
-  eng.commit(1, data);
+  eng.commit(1, rope(data));
   data[0] ^= 1;
   EXPECT_EQ(eng.analyze(1, data).new_bytes, 8000u);
 }
@@ -91,7 +88,7 @@ TEST(DedupEngine, PerUserScopingBlocksOtherUsers) {
                     /*cross_user=*/false});
   rng r(5);
   const byte_buffer data = random_bytes(r, 4000);
-  eng.commit(1, data);
+  eng.commit(1, rope(data));
   EXPECT_EQ(eng.analyze(2, data).new_bytes, 4000u);  // different user
   EXPECT_EQ(eng.analyze(1, data).new_bytes, 0u);
 }
@@ -101,7 +98,7 @@ TEST(DedupEngine, CrossUserSharing) {
                     /*cross_user=*/true});
   rng r(6);
   const byte_buffer data = random_bytes(r, 4000);
-  eng.commit(1, data);
+  eng.commit(1, rope(data));
   EXPECT_TRUE(eng.analyze(2, data).whole_file_duplicate);
 }
 
@@ -110,7 +107,7 @@ TEST(DedupEngine, BlockLevelPartialMatch) {
   dedup_engine eng({dedup_granularity::fixed_block, kBlock, false});
   rng r(7);
   const byte_buffer f1 = random_bytes(r, 4 * kBlock);
-  eng.commit(1, f1);
+  eng.commit(1, rope(f1));
 
   // f2 = first half of f1 + fresh content.
   byte_buffer f2(f1.begin(), f1.begin() + 2 * kBlock);
@@ -131,7 +128,7 @@ TEST(DedupEngine, BlockLevelSelfDuplication) {
   dedup_engine eng({dedup_granularity::fixed_block, kBlock, false});
   rng r(8);
   const byte_buffer f1 = random_bytes(r, kBlock);
-  eng.commit(1, f1);
+  eng.commit(1, rope(f1));
 
   byte_buffer f2 = f1;
   append(f2, f1);
@@ -147,7 +144,7 @@ TEST(DedupEngine, BlockLevelMisalignedDuplicateMisses) {
   dedup_engine eng({dedup_granularity::fixed_block, kBlock, false});
   rng r(9);
   const byte_buffer f1 = random_bytes(r, 4 * kBlock);
-  eng.commit(1, f1);
+  eng.commit(1, rope(f1));
 
   byte_buffer f2;
   f2.push_back(0xaa);
@@ -160,8 +157,8 @@ TEST(DedupEngine, RetractForgetsContent) {
   dedup_engine eng({dedup_granularity::full_file, 4 * MiB, false});
   rng r(10);
   const byte_buffer data = random_bytes(r, 2000);
-  eng.commit(1, data);
-  eng.retract(1, data);
+  eng.commit(1, rope(data));
+  eng.retract(1, rope(data));
   EXPECT_EQ(eng.analyze(1, data).new_bytes, 2000u);
 }
 
@@ -170,7 +167,7 @@ TEST(DedupEngine, EmptyFile) {
   const dedup_result res = eng.analyze(1, byte_view{});
   EXPECT_EQ(res.new_bytes, 0u);
   EXPECT_FALSE(res.whole_file_duplicate);
-  EXPECT_NO_THROW(eng.commit(1, byte_view{}));
+  EXPECT_NO_THROW(eng.commit(1, content_ref{}));
 }
 
 TEST(DedupEngine, ContentDefinedSurvivesPrefixShift) {
@@ -184,8 +181,8 @@ TEST(DedupEngine, ContentDefinedSurvivesPrefixShift) {
 
   rng r(20);
   const byte_buffer base = random_bytes(r, 256 * 1024);
-  cdc.commit(1, base);
-  fixed.commit(1, base);
+  cdc.commit(1, rope(base));
+  fixed.commit(1, rope(base));
 
   byte_buffer shifted = random_bytes(r, 11);
   append(shifted, base);
@@ -203,7 +200,7 @@ TEST(DedupEngine, ContentDefinedExactCopyFullyDedups) {
   dedup_engine eng(policy);
   rng r(21);
   const byte_buffer data = random_bytes(r, 100 * 1024);
-  eng.commit(1, data);
+  eng.commit(1, rope(data));
   const dedup_result res = eng.analyze(1, data);
   EXPECT_TRUE(res.whole_file_duplicate);
   EXPECT_EQ(res.new_bytes, 0u);
@@ -215,8 +212,8 @@ TEST(DedupEngine, ContentDefinedRetract) {
   dedup_engine eng(policy);
   rng r(22);
   const byte_buffer data = random_bytes(r, 64 * 1024);
-  eng.commit(1, data);
-  eng.retract(1, data);
+  eng.commit(1, rope(data));
+  eng.retract(1, rope(data));
   EXPECT_EQ(eng.analyze(1, data).new_bytes, data.size());
 }
 
@@ -228,8 +225,8 @@ TEST_P(DedupGranularitySweep, SmallerBlocksFindAtLeastAsManyDuplicates) {
   dedup_engine fine({dedup_granularity::fixed_block, block, false});
   rng r(11);
   const byte_buffer base = random_bytes(r, block * 8);
-  coarse.commit(1, base);
-  fine.commit(1, base);
+  coarse.commit(1, rope(base));
+  fine.commit(1, rope(base));
 
   // Modify one byte in the middle.
   byte_buffer v2 = base;

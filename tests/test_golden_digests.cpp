@@ -26,11 +26,13 @@
 #include <string_view>
 #include <vector>
 
+#include "chunking/cdc.hpp"
 #include "chunking/rsync.hpp"
 #include "compress/lzss.hpp"
 #include "core/experiment.hpp"
 #include "core/fleet.hpp"
 #include "core/parallel_runner.hpp"
+#include "hotpath_grid.hpp"
 #include "server/session.hpp"
 #include "server/sync_server.hpp"
 #include "util/crc32.hpp"
@@ -122,8 +124,6 @@ void run_stream_workload(experiment_env& env) {
 std::string stream_cell(service_profile profile, bool journal) {
   experiment_config cfg{std::move(profile)};
   cfg.method = access_method::pc_client;
-  // No process-wide caches: every cell computes its own sizes and deltas.
-  cfg.use_content_cache = false;
   cfg.journal = journal;
   experiment_env env(cfg);
   run_stream_workload(env);
@@ -568,6 +568,109 @@ std::string payload_generators_cell() {
       .str();
 }
 
+// --- the memo grid -----------------------------------------------------------
+
+/// hotpath_report's grid, run serially twice in one process: first with
+/// every process-wide memo cold, then warm. Recorded before memoization
+/// became unconditional, from the grid run with every memo off, so the cold
+/// pass pins each miss path and the warm pass each hit path. The line gains
+/// a `warm_traffic` field only where the two passes differ.
+std::string memo_grid_cell() {
+  const auto jobs = bench::hotpath_grid();
+  bench::clear_memos();
+  const std::vector<std::uint64_t> cold = bench::evaluate(jobs, 1);
+  const std::vector<std::uint64_t> warm = bench::evaluate(jobs, 1);
+  digest_line line;
+  line.num("cells", cold.size()).list("traffic", cold);
+  if (warm != cold) line.list("warm_traffic", warm);
+  return line.str();
+}
+
+// --- content-defined chunking ------------------------------------------------
+
+/// The input as a rope of private chunks cut at random points.
+content_ref rope_cut_at_random(const byte_buffer& input, rng& r) {
+  content_ref::builder b;
+  std::size_t off = 0;
+  while (off < input.size()) {
+    const std::size_t len = std::min<std::size_t>(
+        input.size() - off, 1 + r.uniform(r.chance(0.5) ? 64 : 96 * KiB));
+    b.append(content_ref::adopt(byte_buffer(
+        input.begin() + static_cast<std::ptrdiff_t>(off),
+        input.begin() + static_cast<std::ptrdiff_t>(off + len))));
+    off += len;
+  }
+  return b.build();
+}
+
+bool same_chunks(const std::vector<chunk_ref>& a,
+                 const std::vector<chunk_ref>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const chunk_ref& x, const chunk_ref& y) {
+                      return x.offset == y.offset && x.size == y.size;
+                    });
+}
+
+/// Every content_defined_chunks boundary of a seeded corpus under several
+/// parameter sets, reduced to the chunk count and one CRC-32 over each
+/// chunk's offset and size (8 bytes each, little-endian). The sets hold the
+/// defaults, one-byte chunks ({1, 1, 4}), fixed-size chunks (min == avg ==
+/// max), a min size below the mask width (no hash skip) and a larger set;
+/// the inputs run from empty to 3 MiB, random, synthetic, text and one
+/// constant run (its gear hash settles on one value, so it cuts at every
+/// byte or only at max_size).
+/// Each input is also chunked as a rope cut at random points; the line
+/// gains a `rope_mismatches` field only where a rope's boundaries differ.
+std::string cdc_cell() {
+  rng r(29);
+  const std::vector<byte_buffer> corpus = {
+      {},
+      random_bytes(r, 1),
+      random_bytes(r, 100),
+      random_bytes(r, 2048),
+      random_bytes(r, 2049),
+      random_bytes(r, 70'001),
+      synthetic_payload(r, 300'000, 1.8),
+      random_text(r, 1 * MiB),
+      byte_buffer(200'000, std::uint8_t{'x'}),
+      random_bytes(r, 3 * MiB),
+  };
+  const cdc_params sets[] = {
+      {},
+      {1, 1, 4},
+      {4096, 4096, 4096},
+      {2, 64, 4096},
+      {512, 2048, 8192},
+      {16 * KiB, 64 * KiB, 256 * KiB},
+  };
+  rng cuts(31);
+  std::uint64_t chunks = 0, rope_mismatches = 0;
+  std::uint32_t crc = 0;
+  for (const cdc_params& p : sets) {
+    for (const byte_buffer& input : corpus) {
+      const std::vector<chunk_ref> flat = content_defined_chunks(input, p);
+      if (!same_chunks(content_defined_chunks(rope_cut_at_random(input, cuts),
+                                              p),
+                       flat)) {
+        ++rope_mismatches;
+      }
+      for (const chunk_ref& c : flat) {
+        std::uint8_t le[16];
+        for (int i = 0; i < 8; ++i) {
+          le[i] = static_cast<std::uint8_t>(c.offset >> (8 * i));
+          le[8 + i] = static_cast<std::uint8_t>(c.size >> (8 * i));
+        }
+        crc = crc32(byte_view(le, 16), crc);
+        ++chunks;
+      }
+    }
+  }
+  digest_line line;
+  line.num("chunks", chunks).hex("crc32", crc);
+  if (rope_mismatches > 0) line.num("rope_mismatches", rope_mismatches);
+  return line.str();
+}
+
 // --- the cell table ----------------------------------------------------------
 
 struct cell {
@@ -597,6 +700,8 @@ const std::vector<cell>& cells() {
       {"transfer_adaptive", transfer_cell},
       {"append_dropbox", append_cell},
       {"rsync_deltas", rsync_cell},
+      {"memo_grid", memo_grid_cell},
+      {"cdc_boundaries", cdc_cell},
   };
   return table;
 }
@@ -643,7 +748,7 @@ int record() {
   return 0;
 }
 
-// The four streaming-sync worlds. Caches are off in every one of them.
+// The four streaming-sync worlds.
 TEST(StreamSync, DeltaServiceMetersIdenticalTraffic) {
   // Dropbox: IDS + compression + dedup.
   expect_golden("stream_dropbox");
@@ -699,6 +804,10 @@ TEST(GoldenDigests, TransferAdaptive) { expect_golden("transfer_adaptive"); }
 TEST(GoldenDigests, AppendDropbox) { expect_golden("append_dropbox"); }
 
 TEST(GoldenDigests, RsyncDeltas) { expect_golden("rsync_deltas"); }
+
+TEST(GoldenDigests, MemoGrid) { expect_golden("memo_grid"); }
+
+TEST(GoldenDigests, CdcBoundaries) { expect_golden("cdc_boundaries"); }
 
 }  // namespace
 }  // namespace cloudsync

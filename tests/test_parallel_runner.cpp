@@ -1,7 +1,7 @@
 // The parallel runner must behave like a reordered serial loop: every index
 // runs exactly once, exceptions propagate, and — because each experiment owns
-// its whole simulation world and the caches are pure — parallel + cached runs
-// are bit-identical to serial + uncached ones.
+// its whole simulation world and the shared memos are pure — parallel runs
+// are bit-identical to serial ones.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -83,14 +83,15 @@ TEST(ParallelRunner, ThreadCountAutoDetectIsPositive) {
   EXPECT_GE(pool.thread_count(), 1u);
 }
 
-/// The acceptance property: a grid evaluated parallel + cached must be
-/// bit-identical to the same grid serial + uncached.
+/// The acceptance property: a grid evaluated on 4 threads, sharing the
+/// process-wide memos, must be bit-identical to the same grid serial. The
+/// memo-free run this test once compared against is pinned by the memo_grid
+/// golden digest.
 TEST(ParallelDeterminism, GridMatchesSerialUncachedExactly) {
   std::vector<std::function<std::uint64_t()>> jobs;
   for (const service_profile& s : all_services()) {
     experiment_config cfg;
     cfg.profile = s;
-    cfg.use_content_cache = false;
     jobs.push_back([cfg] { return measure_creation_traffic(cfg, 64 * 1024); });
     jobs.push_back(
         [cfg] { return measure_modification_traffic(cfg, 32 * 1024); });
@@ -99,21 +100,15 @@ TEST(ParallelDeterminism, GridMatchesSerialUncachedExactly) {
   std::vector<std::uint64_t> serial(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) serial[i] = jobs[i]();
 
-  std::vector<std::function<std::uint64_t()>> cached_jobs;
-  for (const service_profile& s : all_services()) {
-    experiment_config cfg;
-    cfg.profile = s;
-    cfg.use_content_cache = true;
-    cached_jobs.push_back(
-        [cfg] { return measure_creation_traffic(cfg, 64 * 1024); });
-    cached_jobs.push_back(
-        [cfg] { return measure_modification_traffic(cfg, 32 * 1024); });
-  }
-
+  // Cold again, so the threads race each other's misses on shared keys.
+  content_cache::global().clear();
+  global_fingerprint_cache().clear();
+  clear_incremental_sync_memos();
+  clear_generation_memo();
   parallel_runner pool(4);
-  std::vector<std::uint64_t> parallel(cached_jobs.size());
-  pool.run_indexed(cached_jobs.size(),
-                   [&](std::size_t i) { parallel[i] = cached_jobs[i](); });
+  std::vector<std::uint64_t> parallel(jobs.size());
+  pool.run_indexed(jobs.size(),
+                   [&](std::size_t i) { parallel[i] = jobs[i](); });
 
   EXPECT_EQ(parallel, serial);
 }

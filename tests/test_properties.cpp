@@ -121,7 +121,7 @@ TEST_P(DedupConservation, DuplicatePlusNewEqualsTotal) {
 
   for (const dedup_policy& policy : policies) {
     dedup_engine eng(policy);
-    eng.commit(1, base);
+    eng.commit(1, content_ref::from_bytes(base));
     const dedup_result res = eng.analyze(1, probe);
     EXPECT_EQ(res.duplicate_bytes + res.new_bytes, probe.size());
     std::uint64_t chunk_sum = 0;

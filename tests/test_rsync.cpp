@@ -4,7 +4,9 @@
 #include <unordered_map>
 
 #include "chunking/rsync.hpp"
+#include "compress/varint.hpp"
 #include "storage/cloud.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 
 namespace cloudsync {
@@ -200,6 +202,41 @@ TEST(RsyncWire, CorruptionDetected) {
 TEST(RsyncWire, TruncationDetected) {
   EXPECT_THROW(parse_delta(to_buffer("dl")), std::runtime_error);
   EXPECT_THROW(parse_delta({}), std::runtime_error);
+}
+
+/// A delta wire: magic, `body` after it, then the CRC-32 of both.
+byte_buffer framed_delta_wire(const byte_buffer& body) {
+  byte_buffer wire = {'d', 'l'};
+  append(wire, body);
+  const std::uint32_t crc = crc32(wire);
+  for (int i = 0; i < 4; ++i) {
+    wire.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+  }
+  return wire;
+}
+
+TEST(RsyncWire, HugeOpCountThrowsRuntimeError) {
+  // A valid CRC over a header that declares more ops than the body could
+  // hold: the typed error, not an allocation failure from reserving them.
+  for (const std::uint64_t nops : {1ull << 50, 1ull << 63}) {
+    byte_buffer body;
+    put_varint(body, 1024);  // block size
+    put_varint(body, 0);     // new file size
+    put_varint(body, nops);
+    EXPECT_THROW(parse_delta(framed_delta_wire(body)), std::runtime_error)
+        << nops;
+  }
+}
+
+TEST(RsyncWire, HugeLiteralLengthThrowsRuntimeError) {
+  // A literal length that wraps the read position past the end.
+  byte_buffer body;
+  put_varint(body, 1024);
+  put_varint(body, 0);
+  put_varint(body, 1);  // one op
+  body.push_back(1);    // literal tag
+  put_varint(body, ~std::uint64_t{0});
+  EXPECT_THROW(parse_delta(framed_delta_wire(body)), std::runtime_error);
 }
 
 TEST(RsyncWire, WireIsCompactForSmallDeltas) {

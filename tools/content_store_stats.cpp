@@ -8,11 +8,14 @@
 // on the same chunks.
 //
 // Usage: content_store_stats [--files N] [--size BYTES]
+//
+// N is a whole count and BYTES a size with an optional K, M or G suffix
+// (tools/cli_numbers.hpp); anything else prints the usage and exits 2.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "cli_numbers.hpp"
 #include "core/experiment.hpp"
 #include "fs/file_ops.hpp"
 #include "store/content_store.hpp"
@@ -52,27 +55,28 @@ void dump_store(const char* heading) {
   std::printf("%s", table.str().c_str());
 }
 
+int usage() {
+  std::fprintf(stderr,
+               "usage: content_store_stats [--files N] [--size BYTES]\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::size_t files = 20;
   std::size_t size = 256 * 1024;
+  const cli::strict_numbers num([] { usage(); });
   for (int i = 1; i < argc; ++i) {
     const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", argv[i]);
-        std::exit(2);
-      }
-      return argv[++i];
+      return i + 1 < argc ? argv[++i] : nullptr;
     };
     if (std::strcmp(argv[i], "--files") == 0) {
-      files = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+      files = static_cast<std::size_t>(num.count(next()));
     } else if (std::strcmp(argv[i], "--size") == 0) {
-      size = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+      size = static_cast<std::size_t>(num.size(next()));
     } else {
-      std::fprintf(stderr,
-                   "usage: content_store_stats [--files N] [--size BYTES]\n");
-      return 2;
+      return usage();
     }
   }
 

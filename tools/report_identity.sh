@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Run the five gated reports' full grids and compare each JSON they write
-# with the committed BENCH_*.json byte for byte.
+# Run the five gated reports' full grids and the memo report, and compare
+# each JSON they write with the committed BENCH_*.json byte for byte.
 #
 #   tools/report_identity.sh [build-dir]
 #
@@ -22,7 +22,8 @@ for pair in failure_tue:BENCH_failure.json \
             crash_recovery_tue:BENCH_crash.json \
             transfer_frontier_report:BENCH_transfer.json \
             protocol_selector_report:BENCH_protocol.json \
-            cache_tier_report:BENCH_cache.json; do
+            cache_tier_report:BENCH_cache.json \
+            hotpath_report:BENCH_hotpath.json; do
   report="${pair%%:*}"
   file="${pair#*:}"
   if ! "$build_dir/bench/$report" "$out_dir/$file"; then

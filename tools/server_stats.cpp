@@ -6,12 +6,17 @@
 //
 // Usage: server_stats [--shards N] [--sessions N] [--threads N]
 //                     [--admission N] [--chunk-store] [--json]
+//
+// Every N is a whole count of at least 1 (tools/cli_numbers.hpp); --threads
+// is at most kMaxThreads. Anything else prints the usage and exits 2.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "cli_numbers.hpp"
 #include "core/parallel_runner.hpp"
 #include "server/session.hpp"
 #include "server/sync_server.hpp"
@@ -20,11 +25,15 @@ using namespace cloudsync;
 
 namespace {
 
+/// The most driver threads --threads may ask for.
+constexpr std::uint64_t kMaxThreads = 256;
+
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--shards N] [--sessions N] [--threads N]\n"
-               "          [--admission N] [--chunk-store] [--json]\n",
-               argv0);
+               "          [--admission N] [--chunk-store] [--json]\n"
+               "       every N >= 1; --threads at most %llu\n",
+               argv0, static_cast<unsigned long long>(kMaxThreads));
   return 2;
 }
 
@@ -97,22 +106,24 @@ int main(int argc, char** argv) {
   bool chunk_store = false;
   bool json = false;
 
+  const cli::strict_numbers num([&] { usage(argv[0]); });
   for (int i = 1; i < argc; ++i) {
-    const auto next_u32 = [&](std::uint32_t& out) {
-      if (i + 1 >= argc) return false;
-      out = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-      return out != 0;
+    // The value after the flag: a whole count in [1, max].
+    const auto positive = [&](std::uint64_t max) {
+      const std::uint64_t v =
+          num.count(i + 1 < argc ? argv[++i] : nullptr, max);
+      if (v == 0) std::exit(usage(argv[0]));
+      return static_cast<std::uint32_t>(v);
     };
+    constexpr std::uint64_t kU32 = std::numeric_limits<std::uint32_t>::max();
     if (std::strcmp(argv[i], "--shards") == 0) {
-      if (!next_u32(shards)) return usage(argv[0]);
+      shards = positive(kU32);
     } else if (std::strcmp(argv[i], "--sessions") == 0) {
-      if (!next_u32(sessions)) return usage(argv[0]);
+      sessions = positive(kU32);
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      std::uint32_t t = 0;
-      if (!next_u32(t)) return usage(argv[0]);
-      threads = t;
+      threads = positive(kMaxThreads);
     } else if (std::strcmp(argv[i], "--admission") == 0) {
-      if (!next_u32(admission)) return usage(argv[0]);
+      admission = positive(kU32);
     } else if (std::strcmp(argv[i], "--chunk-store") == 0) {
       chunk_store = true;
     } else if (std::strcmp(argv[i], "--json") == 0) {
