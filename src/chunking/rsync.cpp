@@ -427,27 +427,40 @@ bool copy_in_range(const delta_op& op, std::uint64_t old_blocks) {
 }
 
 byte_buffer apply_delta(byte_view old_data, const file_delta& delta) {
-  byte_buffer out;
-  out.reserve(delta.new_file_size);
   const std::size_t bs = delta.block_size;
   const std::vector<chunk_ref> old_blocks =
       bs > 0 ? fixed_chunks(old_data, bs) : std::vector<chunk_ref>{};
-
+  // What the ops produce, checked against the declared size before that
+  // size is reserved: a parsed delta may declare any 64-bit size.
+  std::uint64_t produced = 0;
   for (const delta_op& op : delta.ops) {
     if (op.op == delta_op::kind::literal) {
-      op.walk_literal([&](byte_view run) { append(out, run); });
+      produced += op.literal_size();
       continue;
     }
     if (!copy_in_range(op, old_blocks.size())) {
       throw std::runtime_error("apply_delta: block index out of range");
     }
+    if (op.block_count > 0) {
+      const chunk_ref& last = old_blocks[op.block_index + op.block_count - 1];
+      produced += last.offset + last.size - old_blocks[op.block_index].offset;
+    }
+  }
+  if (produced != delta.new_file_size) {
+    throw std::runtime_error("apply_delta: reconstructed size mismatch");
+  }
+
+  byte_buffer out;
+  out.reserve(delta.new_file_size);
+  for (const delta_op& op : delta.ops) {
+    if (op.op == delta_op::kind::literal) {
+      op.walk_literal([&](byte_view run) { append(out, run); });
+      continue;
+    }
     for (std::uint64_t b = op.block_index;
          b < op.block_index + op.block_count; ++b) {
       append(out, slice(old_data, old_blocks[b]));
     }
-  }
-  if (out.size() != delta.new_file_size) {
-    throw std::runtime_error("apply_delta: reconstructed size mismatch");
   }
   return out;
 }

@@ -531,8 +531,9 @@ std::vector<byte_view> views_of(const std::vector<byte_buffer>& buffers) {
   return views;
 }
 
-/// estimate_compression_ratio over a rope, sampling the identical windows.
-double estimate_ratio_ref(const content_ref& content) {
+/// The probe of estimate_compression_ratio over a rope, sampling the
+/// identical windows.
+probe_totals probe_ref(const content_ref& content) {
   std::vector<byte_buffer> samples;
   for (const sample_window& w :
        compression_sample_windows(content.size(), kProbeSampleBudget)) {
@@ -542,7 +543,7 @@ double estimate_ratio_ref(const content_ref& content) {
                        [&](byte_view v) { append(buf, v); });
     samples.push_back(std::move(buf));
   }
-  return estimate_ratio_of_windows(views_of(samples));
+  return probe_windows(views_of(samples));
 }
 
 /// estimate_compression_ratio over a delta's serialized stream: one walk
@@ -579,14 +580,29 @@ double estimate_ratio_delta_wire(const file_delta& delta,
 }  // namespace
 
 std::uint64_t wire_payload_size_ref(const content_ref& content, int level) {
+  return wire_payload_size_ref(content, level, nullptr, nullptr);
+}
+
+std::uint64_t wire_payload_size_ref(
+    const content_ref& content, int level, const priced_version* base,
+    std::shared_ptr<const lzss_summary>* summary) {
   if (level <= 0 || content.empty()) return content.size();
-  if (content.size() >= kProbeMinBytes &&
-      estimate_ratio_ref(content) < kProbeRatioCutoff) {
-    return content.size();
+  if (content.size() >= kProbeMinBytes) {
+    const probe_totals probe = probe_ref(content);
+    if (probe.ratio() < kProbeRatioCutoff) return content.size();
+    // Up to the sample budget the probe's one window is the whole input, so
+    // at the probe's level its count is the frame size.
+    if (level == kProbeLevel && probe.in == content.size()) return probe.out;
   }
   lzss_stream_sizer sizer(content.size(), {.level = level});
+  if (base != nullptr && base->summary) {
+    const content_ref::affixes same = base->content.common_affixes(content);
+    sizer.reuse(base->summary, same.prefix, same.suffix);
+  }
   content.walk([&](byte_view v) { sizer.feed(v); });
-  return sizer.finish();
+  const std::uint64_t size = sizer.finish();
+  if (summary != nullptr) *summary = sizer.summary();
+  return size;
 }
 
 std::uint64_t wire_payload_size_delta(const file_delta& delta, int level) {
@@ -688,8 +704,7 @@ void sync_client::apply_upload(const std::string& path,
   }
   base_version_[path] = cloud_.manifest(user_, path)->version;
   shadow_entry& sh = shadow_[path];
-  sh.content = content;
-  sh.sig.reset();  // the memoized signature no longer matches
+  sh.assign(content, plan.priced);
   install_cache_tier(path, sh.content);
   // Calibration feedback: the plan's app bytes are exactly what the
   // surrounding exchange meters as payload + metadata on success. Gated so
@@ -714,8 +729,7 @@ void sync_client::apply_upload_session(const std::string& path,
   if (plan.dedup_commit) cloud_.dedup().commit(user_, content);
   base_version_[path] = cloud_.manifest(user_, path)->version;
   shadow_entry& sh = shadow_[path];
-  sh.content = content;
-  sh.sig.reset();
+  sh.assign(content, plan.priced);
   install_cache_tier(path, sh.content);
   if (opts_.protocol.mode == protocol_mode::adaptive) {
     selector_.observe(plan, content.hash64(),
@@ -1082,8 +1096,7 @@ void sync_client::download(const std::string& path) {
   // locally (suppressed: our own write must not re-enter the upload
   // pipeline).
   shadow_entry& sh = shadow_[path];
-  sh.content = content;
-  sh.sig.reset();
+  sh.assign(content);
   install_cache_tier(path, sh.content);
   applying_remote_ = true;
   if (fs_.exists(path)) {
@@ -1245,8 +1258,7 @@ sim_time sync_client::recover_in_flight(const journal_record& rec,
       return t;
     }
     shadow_entry& sh = shadow_[rec.path];
-    sh.content = *base_content;
-    sh.sig.reset();
+    sh.assign(*base_content);
     install_cache_tier(rec.path, sh.content);
     base_version_[rec.path] = cur;
     plan = plan_upload(rec.path, t);
@@ -1311,8 +1323,7 @@ void sync_client::rescan_after_recovery() {
     if (in_sync) {
       // Adopt as the synced state (a local disk read, not a download).
       shadow_entry& sh = shadow_[path];
-      sh.content = local;
-      sh.sig.reset();
+      sh.assign(local);
       install_cache_tier(path, sh.content);
       base_version_[path] = man->version;
       continue;

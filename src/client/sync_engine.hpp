@@ -72,6 +72,14 @@ std::uint64_t wire_payload_size(byte_view content, int level);
 /// the identical value without ever flattening the content. This is what
 /// lets multi-GB uploads be priced in O(MB) working memory.
 std::uint64_t wire_payload_size_ref(const content_ref& content, int level);
+/// The same, priced from `base` (may be null), the whole-file pricing of an
+/// earlier version (lzss_stream_sizer::reuse uses it only at its level), and
+/// storing this pricing's summary in `*summary` when it is not null (null
+/// when the probe or a stored frame priced it). Always exactly
+/// wire_payload_size of the flat bytes.
+std::uint64_t wire_payload_size_ref(
+    const content_ref& content, int level, const priced_version* base,
+    std::shared_ptr<const lzss_summary>* summary);
 
 /// Same, over a delta's exact serialized wire bytes (walk_delta_wire) —
 /// byte-identical to wire_payload_size(serialize_delta(delta), level)

@@ -75,6 +75,31 @@ std::uint64_t shipped_content_size(const planning_env&,
       [&] { return wire_payload_size_ref(content, level); });
 }
 
+namespace {
+/// shipped_content_size of an update's whole content, priced from the
+/// shadow's last whole-file pricing when it has one. On a memo miss,
+/// `priced` takes this pricing when its parse left a summary; a memo hit
+/// leaves it null, so the next version parses in full.
+std::uint64_t shipped_whole_content(const protocol_update& up, int level,
+                                    priced_ptr& priced) {
+  const content_ref& content = *up.content;
+  if (level <= 0 || content.empty()) return content.size();
+  return content_cache::global().shipped_size_keyed(
+      content.hash64(), content.size(), level, [&] {
+        const priced_version* base =
+            up.shadow != nullptr ? up.shadow->priced.get() : nullptr;
+        std::shared_ptr<const lzss_summary> summary;
+        const std::uint64_t size =
+            wire_payload_size_ref(content, level, base, &summary);
+        if (summary) {
+          priced = std::make_shared<const priced_version>(
+              priced_version{content, std::move(summary)});
+        }
+        return size;
+      });
+}
+}  // namespace
+
 std::uint64_t shipped_delta_size(const planning_env&,
                                  const delta_blueprint& bp, int level) {
   if (level <= 0 || bp.wire_size == 0) return bp.wire_size;
@@ -127,7 +152,7 @@ class full_file_protocol final : public sync_protocol {
     upload_plan plan;
     plan.dedup_commit = dedup_participates(env);
     plan.payload_up =
-        shipped_content_size(env, *up.content, mp.upload_compression_level);
+        shipped_whole_content(up, mp.upload_compression_level, plan.priced);
     plan.metadata_up = static_cast<std::uint64_t>(
         static_cast<double>(plan.payload_up) * mp.per_payload_metadata);
     plan.act = upload_action::full;
@@ -218,8 +243,12 @@ class cdc_dedup_protocol final : public sync_protocol {
     plan.metadata_down += res.fingerprints_sent * kFingerprintAnswerBytes;
     std::uint64_t payload = 0;
     for (const chunk_ref& c : res.new_chunks) {
-      payload += shipped_content_size(env, content.substr(c.offset, c.size),
-                                      mp.upload_compression_level);
+      payload += c.size == content.size()
+                     ? shipped_whole_content(up, mp.upload_compression_level,
+                                             plan.priced)
+                     : shipped_content_size(
+                           env, content.substr(c.offset, c.size),
+                           mp.upload_compression_level);
     }
     plan.payload_up = payload;
     plan.metadata_up += static_cast<std::uint64_t>(

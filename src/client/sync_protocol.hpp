@@ -20,6 +20,7 @@
 
 #include "chunking/rsync.hpp"
 #include "client/service_profile.hpp"
+#include "compress/lzss.hpp"
 #include "storage/cloud.hpp"
 #include "store/content_ref.hpp"
 #include "util/content_cache.hpp"
@@ -37,9 +38,19 @@ struct delta_blueprint {
   std::uint64_t wire_hash = 0;  ///< == content_hash64(serialize_delta(delta))
 };
 
+/// A version priced whole by an LZSS parse: the rope that was priced and
+/// the summary its parse left, from which the next version of the same path
+/// is priced (lzss_stream_sizer::reuse).
+struct priced_version {
+  content_ref content;
+  std::shared_ptr<const lzss_summary> summary;
+};
+/// Null where no summary was kept.
+using priced_ptr = std::shared_ptr<const priced_version>;
+
 /// Last-synced content plus its memoized rsync signature: incremental sync
 /// re-signs a shadow only after it actually changes, not on every commit.
-/// The signature is shared with the process-wide memo when caching is on.
+/// The signature is shared with the process-wide memo.
 struct shadow_entry {
   content_ref content;
   std::shared_ptr<const file_signature> sig;  ///< of `content`, lazy
@@ -47,6 +58,18 @@ struct shadow_entry {
   std::uint64_t sig_salt = 0;  ///< memo salt of `sig` (valid while sig is);
                                ///< recomputing it per delta walked every
                                ///< block of the signature again
+  /// The last upload's whole-file pricing. Its rope may differ from
+  /// `content` (the file is read again when the upload lands); that costs
+  /// pricing time, never bytes.
+  priced_ptr priced;
+
+  /// Installs `c` as the last-synced content. Only an upload passes the
+  /// pricing of its plan; downloads and recovery keep none.
+  void assign(content_ref c, priced_ptr p = nullptr) {
+    content = std::move(c);
+    sig.reset();  // the memoized signature no longer matches
+    priced = std::move(p);
+  }
 };
 
 /// How a planned upload reaches the cloud once its exchange succeeds.
@@ -89,6 +112,9 @@ struct upload_plan {
   /// Duplicate fraction the dedup analysis actually observed (cdc_dedup
   /// plans only; < 0 otherwise). Feeds the selector's hit-rate estimate.
   double observed_dup_fraction = -1.0;
+  /// The whole-file LZSS pricing of the content (full_file, and cdc_dedup
+  /// when its one new chunk is the whole file), for the shadow to keep.
+  priced_ptr priced;
 };
 
 /// Everything a protocol may consult while planning, bound per client.

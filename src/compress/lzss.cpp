@@ -211,6 +211,10 @@ struct match_finder {
 /// The caller passes the input from offset() on. After a parse that did not
 /// reach the end, slide() says how many of those bytes no match can reach
 /// any more, and rebases the positions so that they stay bounded.
+///
+/// A parse may also start at a token start of an earlier parse of the same
+/// bytes (resume()): it then holds only the window before that point and
+/// inserts its positions into the chains before parsing on.
 class lz_parser {
  public:
   lz_parser(const level_config& cfg, std::uint64_t total)
@@ -234,20 +238,47 @@ class lz_parser {
 
   /// Input offset of data[0] in parse().
   std::uint64_t offset() const { return offset_; }
+  /// Input offset of the cursor: where the next token starts.
+  std::uint64_t cursor() const { return offset_ + (pos_ - m_.origin); }
+
+  /// Before the first parse(): starts the cursor at input offset `at`, a
+  /// token start of an earlier parse whose input agrees with this one up to
+  /// at + kLookahead. The caller then passes the input from offset(), up to
+  /// 64 KiB before `at`, and the first parse() that holds the bytes up to
+  /// at + 3 inserts the positions before `at` into the chains, once.
+  void resume(std::uint64_t at) {
+    const auto back =
+        static_cast<std::uint32_t>(std::min<std::uint64_t>(at, kWindowSize));
+    offset_ = at - back;
+    pos_ += back;
+    unprimed_ = back;
+  }
 
   /// Parses on from the cursor as far as `data[0, n)` allows: to the end
   /// when it holds the input's last byte, otherwise every position whose
-  /// lookahead it holds. `n` is at most kBufferBytes.
+  /// lookahead it holds. Stops early at the first token start at or past
+  /// input offset `until`. `n` is at most kBufferBytes.
   template <class Sink>
-  void parse(const std::uint8_t* data, std::size_t n, Sink& sink) {
+  void parse(const std::uint8_t* data, std::size_t n, Sink& sink,
+             std::uint64_t until = UINT64_MAX) {
     m_.data = data;
     m_.end = m_.origin + static_cast<std::uint32_t>(n);
     // A local copy keeps the finder in registers: the writer's byte stores
     // could alias members.
     const match_finder m = m_;
-    const std::uint32_t stop = offset_ + n == total_
-                                   ? m.end
-                                   : m.end - std::min(m.end, kLookahead - 1);
+    if (unprimed_ > 0) {
+      // Inserting position p hashes the bytes [p, p + 4).
+      if (m.end < pos_ + 3) return;
+      for (std::uint32_t p = pos_ - unprimed_; p < pos_; ++p) m.insert(p);
+      unprimed_ = 0;
+    }
+    std::uint32_t stop = offset_ + n == total_
+                             ? m.end
+                             : m.end - std::min(m.end, kLookahead - 1);
+    const std::uint64_t ahead = until - std::min(until, cursor());
+    if (stop > pos_ && ahead < stop - pos_) {
+      stop = pos_ + static_cast<std::uint32_t>(ahead);
+    }
     std::uint32_t pos = pos_;
     lz_match next;           // find(pos) of the last lazy probe, if it won
     bool have_next = false;
@@ -297,6 +328,7 @@ class lz_parser {
   match_finder m_;            ///< data and end as of the last parse
   std::uint64_t offset_ = 0;  ///< input offset of the byte at m_.origin
   std::uint32_t pos_;         ///< next position to parse
+  std::uint32_t unprimed_ = 0;  ///< positions before pos_ not yet inserted
 };
 
 /// Parses all of `input`, sliding every kBufferBytes like the stream sizer.
@@ -517,15 +549,23 @@ std::vector<sample_window> compression_sample_windows(
   return windows;
 }
 
-double estimate_ratio_of_windows(const std::vector<byte_view>& windows) {
-  std::size_t total_in = 0, total_out = 0;
+double probe_totals::ratio() const {
+  if (in == 0) return 1.0;
+  return static_cast<double>(in) /
+         static_cast<double>(std::max<std::uint64_t>(1, out));
+}
+
+probe_totals probe_windows(const std::vector<byte_view>& windows) {
+  probe_totals t;
   for (const byte_view chunk : windows) {
-    total_in += chunk.size();
-    total_out += counted_frame_size(chunk, 5);
+    t.in += chunk.size();
+    t.out += counted_frame_size(chunk, kProbeLevel);
   }
-  if (total_in == 0) return 1.0;
-  return static_cast<double>(total_in) /
-         static_cast<double>(std::max<std::size_t>(1, total_out));
+  return t;
+}
+
+double estimate_ratio_of_windows(const std::vector<byte_view>& windows) {
+  return probe_windows(windows).ratio();
 }
 
 double estimate_compression_ratio(byte_view input, std::size_t sample_budget) {
@@ -538,39 +578,166 @@ double estimate_compression_ratio(byte_view input, std::size_t sample_budget) {
   return estimate_ratio_of_windows(views);
 }
 
+namespace {
+
+/// Checkpoints lie at least this far apart, and at least 1/1024 of the
+/// input apart (rounded up to a power of two).
+constexpr std::uint64_t kMinCheckpointSpacing = 4 * 1024;
+
+std::uint64_t checkpoint_spacing(std::uint64_t size) {
+  return std::max(kMinCheckpointSpacing, std::bit_ceil((size + 1023) / 1024));
+}
+
+}  // namespace
+
 /// What a sizer with a token stream holds while it is being fed.
 struct lzss_stream_sizer::state {
-  state(const level_config& cfg, std::uint64_t total)
-      : parser(cfg, total),
+  state(int level, std::uint64_t total)
+      : parser(config_for(level), total),
         capacity(static_cast<std::size_t>(
-            std::min<std::uint64_t>(total, kBufferBytes))) {
+            std::min<std::uint64_t>(total, kBufferBytes))),
+        level(level),
+        total(total),
+        spacing(checkpoint_spacing(total)),
+        // An input no longer than the spacing has one checkpoint, so its
+        // summary is not kept and nothing is recorded.
+        next_mark(total <= spacing ? UINT64_MAX : 0) {
     buffer.reserve(capacity);
+  }
+
+  /// Records token start `at`, with the tokens before it, if it is the first
+  /// at or past the next multiple of the spacing.
+  void keep(std::uint64_t at, std::uint64_t literals, std::uint64_t matches) {
+    if (at < next_mark) return;
+    checkpoints.push_back({at, literals, matches});
+    next_mark = (at / spacing + 1) * spacing;
+  }
+
+  /// Offset in this input of the base's checkpoint `i`, which lies in the
+  /// common suffix.
+  std::uint64_t shifted(std::size_t i) const {
+    return base->checkpoints[i].offset + total - base->size;
+  }
+
+  bool can_rejoin() const {
+    return base != nullptr && rejoin < base->checkpoints.size();
+  }
+
+  /// Starts the parse from `from`'s summary of an earlier version (see
+  /// lzss_stream_sizer's class comment).
+  void resume(std::shared_ptr<const lzss_summary> from, std::uint64_t prefix,
+              std::uint64_t suffix) {
+    const std::vector<lzss_checkpoint>& old = from->checkpoints;
+    const auto by_offset = [](std::uint64_t off, const lzss_checkpoint& c) {
+      return off < c.offset;
+    };
+    // Every token before the last checkpoint at least kLookahead bytes
+    // before the first changed byte read only unchanged bytes.
+    std::size_t r = 0;
+    if (prefix >= kLookahead) {
+      r = static_cast<std::size_t>(std::upper_bound(old.begin(), old.end(),
+                                                    prefix - kLookahead,
+                                                    by_offset) -
+                                   old.begin()) - 1;
+    }
+    for (std::size_t i = 0; i <= r; ++i) {
+      keep(old[i].offset, old[i].literals, old[i].matches);
+    }
+    tokens = {old[r].literals, old[r].matches};
+    parser.resume(old[r].offset);
+    // From an old checkpoint whose window starts past the edit in both
+    // inputs on, the two parses read the same bytes.
+    const std::uint64_t past_edit = from->size - suffix + kWindowSize;
+    rejoin = static_cast<std::size_t>(
+        std::upper_bound(old.begin(), old.end(), past_edit - 1, by_offset) -
+        old.begin());
+    base = std::move(from);
+  }
+
+  /// Parses the held bytes, stopping at every checkpoint mark and every
+  /// rejoin candidate on the way; at a candidate that is also a token start
+  /// of this parse, the base's tail completes the counts.
+  void parse_held() {
+    for (;;) {
+      const std::uint64_t until =
+          std::min(next_mark, can_rejoin() ? shifted(rejoin) : UINT64_MAX);
+      parser.parse(buffer.data(), buffer.size(), tokens, until);
+      const std::uint64_t at = parser.cursor();
+      if (at < until || at == total) return;
+      keep(at, tokens.literals, tokens.matches);
+      while (can_rejoin() && shifted(rejoin) < at) ++rejoin;
+      if (can_rejoin() && shifted(rejoin) == at) {
+        const std::vector<lzss_checkpoint>& old = base->checkpoints;
+        const lzss_checkpoint& join = old[rejoin];
+        for (std::size_t i = rejoin; i < old.size(); ++i) {
+          keep(shifted(i), tokens.literals + old[i].literals - join.literals,
+               tokens.matches + old[i].matches - join.matches);
+        }
+        tokens.literals += base->literals - join.literals;
+        tokens.matches += base->matches - join.matches;
+        rejoined = true;
+        return;
+      }
+    }
   }
 
   lz_parser parser;
   token_counter tokens;
   byte_buffer buffer;  ///< the input from parser.offset() on
   std::size_t capacity;
+  const int level;
+  const std::uint64_t total;
+  const std::uint64_t spacing;
+  std::uint64_t next_mark;  ///< the next checkpoint is the first token
+                            ///< start at or past this offset
+  std::vector<lzss_checkpoint> checkpoints;
+  std::shared_ptr<const lzss_summary> base;  ///< the parse resumed from
+  std::size_t rejoin = 0;  ///< the base's next checkpoint to rejoin at
+  bool rejoined = false;   ///< the counts are complete
 };
 
 lzss_stream_sizer::lzss_stream_sizer(std::uint64_t total_size,
                                      lzss_params params)
     : total_(total_size) {
   if (!stored_only(params.level, total_size)) {
-    state_ = std::make_unique<state>(config_for(params.level), total_size);
+    state_ = std::make_unique<state>(params.level, total_size);
   }
 }
 
 lzss_stream_sizer::~lzss_stream_sizer() = default;
+
+void lzss_stream_sizer::reuse(std::shared_ptr<const lzss_summary> base,
+                              std::uint64_t prefix, std::uint64_t suffix) {
+  if (fed_ > 0 || finished_ || (state_ && state_->base)) {
+    throw std::logic_error("lzss_stream_sizer: reuse after the first feed");
+  }
+  if (!base) return;
+  if (prefix > std::min(base->size, total_) ||
+      suffix > std::min(base->size, total_) - prefix) {
+    throw std::logic_error("lzss_stream_sizer: prefix and suffix overlap");
+  }
+  if (!state_ || base->level != state_->level || base->checkpoints.empty() ||
+      base->checkpoints.front().offset != 0) {
+    return;
+  }
+  state_->resume(std::move(base), prefix, suffix);
+}
 
 void lzss_stream_sizer::feed(byte_view window) {
   if (finished_) throw std::logic_error("lzss_stream_sizer: already finished");
   if (window.size() > total_ - fed_) {
     throw std::logic_error("lzss_stream_sizer: fed past the declared size");
   }
+  const std::uint64_t at = fed_;
   fed_ += window.size();
-  if (!state_) return;
+  if (!state_ || state_->rejoined) return;
   state& s = *state_;
+  // A resumed parse holds the input from the window before its cursor on.
+  const std::uint64_t held_end = s.parser.offset() + s.buffer.size();
+  if (at < held_end) {
+    window = window.subspan(static_cast<std::size_t>(
+        std::min<std::uint64_t>(window.size(), held_end - at)));
+  }
   while (!window.empty()) {
     if (s.buffer.size() == s.capacity) {
       const std::size_t drop = s.parser.slide();
@@ -581,7 +748,8 @@ void lzss_stream_sizer::feed(byte_view window) {
         std::min(window.size(), s.capacity - s.buffer.size());
     append(s.buffer, window.first(take));
     window = window.subspan(take);
-    s.parser.parse(s.buffer.data(), s.buffer.size(), s.tokens);
+    s.parse_held();
+    if (s.rejoined) return;
   }
 }
 
@@ -592,8 +760,14 @@ std::uint64_t lzss_stream_sizer::finish() {
   if (finished_) throw std::logic_error("lzss_stream_sizer: already finished");
   finished_ = true;
   if (!state_) return stored_frame_size(total_);
-  // The feed that brought the last byte parsed to the end.
-  const std::uint64_t size = frame_size(total_, state_->tokens);
+  // The feed that brought the last byte parsed to the end, or rejoined.
+  state& s = *state_;
+  const std::uint64_t size = frame_size(total_, s.tokens);
+  if (s.checkpoints.size() > 1) {
+    summary_ = std::make_shared<const lzss_summary>(
+        lzss_summary{s.level, total_, s.tokens.literals, s.tokens.matches,
+                     std::move(s.checkpoints)});
+  }
   state_.reset();  // hands the tables back to this thread
   return size;
 }

@@ -1,12 +1,52 @@
 #include "store/content_ref.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
 #include "util/content_cache.hpp"
 
 namespace cloudsync {
+
+namespace {
+
+std::uint64_t load64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, 8);
+  return v;
+}
+
+/// How many leading bytes of a[0, n) and b[0, n) agree.
+std::size_t equal_head(const std::uint8_t* a, const std::uint8_t* b,
+                       std::size_t n) {
+  static_assert(std::endian::native == std::endian::little);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const std::uint64_t diff = load64(a + i) ^ load64(b + i);
+    if (diff != 0) {
+      return i + static_cast<std::size_t>(std::countr_zero(diff)) / 8;
+    }
+  }
+  while (i < n && a[i] == b[i]) ++i;
+  return i;
+}
+
+/// How many trailing bytes of a[0, n) and b[0, n) agree.
+std::size_t equal_tail(const std::uint8_t* a, const std::uint8_t* b,
+                       std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const std::uint64_t diff = load64(a + n - i - 8) ^ load64(b + n - i - 8);
+    if (diff != 0) {
+      return i + static_cast<std::size_t>(std::countl_zero(diff)) / 8;
+    }
+  }
+  while (i < n && a[n - 1 - i] == b[n - 1 - i]) ++i;
+  return i;
+}
+
+}  // namespace
 
 content_ref::content_ref(std::shared_ptr<const segment_list> segs,
                          std::size_t size)
@@ -183,6 +223,64 @@ bool content_ref::equal(const content_ref& other) const {
     }
   }
   return true;
+}
+
+content_ref::affixes content_ref::common_affixes(
+    const content_ref& other) const {
+  const std::size_t limit = std::min(size_, other.size_);
+  affixes out;
+  if (limit == 0) return out;
+  if (segs_ == other.segs_) return {limit, 0};
+  const segment_list& sa = *segs_;
+  const segment_list& sb = *other.segs_;
+  // Forward over both segment lists, as in equal().
+  std::size_t ia = 0, ib = 0, oa = 0, ob = 0;
+  while (out.prefix < limit) {
+    const rope_segment& a = sa[ia];
+    const rope_segment& b = sb[ib];
+    const std::size_t take =
+        std::min({a.length - oa, b.length - ob, limit - out.prefix});
+    const std::size_t same =
+        a.chunk == b.chunk && a.offset + oa == b.offset + ob
+            ? take
+            : equal_head(a.chunk->bytes().data() + a.offset + oa,
+                         b.chunk->bytes().data() + b.offset + ob, take);
+    out.prefix += same;
+    if (same < take) break;
+    oa += take;
+    ob += take;
+    if (oa == a.length) {
+      ++ia;
+      oa = 0;
+    }
+    if (ob == b.length) {
+      ++ib;
+      ob = 0;
+    }
+  }
+  // Backward from both ends over what the prefix left; `la` and `lb` are
+  // the unvisited lengths of the current segments.
+  const std::size_t room = limit - out.prefix;
+  ia = sa.size() - 1;
+  ib = sb.size() - 1;
+  std::size_t la = sa[ia].length, lb = sb[ib].length;
+  while (out.suffix < room) {
+    const rope_segment& a = sa[ia];
+    const rope_segment& b = sb[ib];
+    const std::size_t take = std::min({la, lb, room - out.suffix});
+    const std::size_t same =
+        a.chunk == b.chunk && a.offset + la == b.offset + lb
+            ? take
+            : equal_tail(a.chunk->bytes().data() + a.offset + la - take,
+                         b.chunk->bytes().data() + b.offset + lb - take, take);
+    out.suffix += same;
+    if (same < take) break;
+    la -= take;
+    lb -= take;
+    if (la == 0 && ia > 0) la = sa[--ia].length;
+    if (lb == 0 && ib > 0) lb = sb[--ib].length;
+  }
+  return out;
 }
 
 bool content_ref::equal(byte_view other) const {

@@ -78,6 +78,17 @@ class content_ref {
   bool equal(const content_ref& other) const;
   bool equal(byte_view other) const;
 
+  /// Lengths of the longest common prefix and suffix of this sequence and
+  /// `other`. The suffix is counted only past the prefix, so prefix + suffix
+  /// is at most either size. A run that both ropes take from the same chunk
+  /// at the same chunk offset is skipped unread, so a patched version costs
+  /// O(segments) plus the bytes around the patch.
+  struct affixes {
+    std::size_t prefix = 0;
+    std::size_t suffix = 0;
+  };
+  affixes common_affixes(const content_ref& other) const;
+
   std::size_t segment_count() const { return segs_ ? segs_->size() : 0; }
 
   /// Incremental rope assembly: append whole refs, sub-ranges of refs, or

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "chunking/cdc.hpp"
@@ -258,6 +259,92 @@ TEST(ContentRef, PipelineDigestsMatchFlatAtEveryChunkBoundaryOffset) {
       ASSERT_EQ(ca[i].size, cb[i].size);
     }
   }
+}
+
+/// The common prefix and suffix of two flat byte strings, the suffix
+/// counted past the prefix.
+content_ref::affixes flat_affixes(const byte_buffer& a, const byte_buffer& b) {
+  const std::size_t limit = std::min(a.size(), b.size());
+  content_ref::affixes out;
+  while (out.prefix < limit && a[out.prefix] == b[out.prefix]) ++out.prefix;
+  while (out.suffix < limit - out.prefix &&
+         a[a.size() - 1 - out.suffix] == b[b.size() - 1 - out.suffix]) {
+    ++out.suffix;
+  }
+  return out;
+}
+
+/// A version of `base` that shares its chunks (patched, appended, a
+/// substring, an insert) or holds the same kind of bytes in chunks of its
+/// own (from_bytes interns them, adopt does not), or an empty one.
+content_ref derived_version(const content_ref& base, rng& r) {
+  const byte_buffer flat = base.flatten();
+  const std::size_t n = base.size();
+  const std::size_t off = n == 0 ? 0 : r.uniform(n);
+  const byte_buffer bytes = r.chance(0.5) ? random_bytes(r, 1 + r.uniform(40))
+                                          : byte_buffer(1 + r.uniform(9), 'a');
+  switch (r.uniform(8)) {
+    case 0:
+      if (n == 0) return base.appended(bytes);
+      return base.patched(off, byte_view(bytes).first(
+                                   std::min(bytes.size(), n - off)));
+    case 1: return base.appended(bytes);
+    case 2: return base.substr(off, r.uniform(n - off + 1));
+    case 3: {
+      content_ref::builder b;
+      b.append(base, 0, off);
+      b.append_bytes(bytes);
+      b.append(base, off, n - off);
+      return b.build();
+    }
+    case 4: return content_ref::from_bytes(flat);
+    case 5: {
+      byte_buffer copy = flat;
+      if (!copy.empty()) copy[off] ^= 1;
+      return content_ref::adopt(std::move(copy));
+    }
+    case 6: return content_ref{};
+    default: {
+      // The same bytes cut at other points, each piece its own chunk.
+      content_ref::builder b;
+      for (std::size_t at = 0; at < n;) {
+        const std::size_t len =
+            std::min<std::size_t>(n - at, 1 + r.uniform(3000));
+        b.append(content_ref::adopt(byte_buffer(flat.begin() + at,
+                                                flat.begin() + at + len)));
+        at += len;
+      }
+      return b.build();
+    }
+  }
+}
+
+TEST(ContentRef, CommonAffixesMatchFlatAnswer) {
+  rng r(43);
+  for (int round = 0; round < 60; ++round) {
+    // Runs of one byte make the prefix and suffix compete for the middle.
+    const std::size_t n = r.uniform(r.chance(0.2) ? 64 : 200'000);
+    content_ref base = r.chance(0.3)
+                           ? content_ref::from_bytes(byte_buffer(n, 'a'))
+                           : content_ref::from_bytes(random_bytes(r, n));
+    for (int depth = 0; depth < 6; ++depth) {
+      const content_ref next = derived_version(base, r);
+      const byte_buffer a = base.flatten(), b = next.flatten();
+      const content_ref::affixes want = flat_affixes(a, b);
+      const content_ref::affixes got = base.common_affixes(next);
+      EXPECT_EQ(got.prefix, want.prefix) << round << "/" << depth;
+      EXPECT_EQ(got.suffix, want.suffix) << round << "/" << depth;
+      const content_ref::affixes back = next.common_affixes(base);
+      EXPECT_EQ(back.prefix, want.prefix) << round << "/" << depth;
+      EXPECT_EQ(back.suffix, want.suffix) << round << "/" << depth;
+      base = next;
+    }
+  }
+  const content_ref some = content_ref::from_bytes(to_buffer("abc"));
+  EXPECT_EQ(some.common_affixes(some).prefix, 3u);
+  EXPECT_EQ(some.common_affixes(some).suffix, 0u);
+  EXPECT_EQ(some.common_affixes(content_ref{}).prefix, 0u);
+  EXPECT_EQ(content_ref{}.common_affixes(content_ref{}).suffix, 0u);
 }
 
 TEST(ContentRef, BuilderMergesAdjacentRunsOfSameChunk) {

@@ -671,6 +671,99 @@ std::string cdc_cell() {
   return line.str();
 }
 
+// --- edited versions ---------------------------------------------------------
+
+/// One edit of a file's whole content, written back as a new version.
+content_ref inserted(const content_ref& c, std::size_t off, byte_view data) {
+  content_ref::builder b;
+  b.append(c, 0, off);
+  b.append_bytes(data);
+  b.append(c, off, c.size() - off);
+  return b.build();
+}
+
+/// Compressible files of 70 KiB to 3 MiB through a chain of edits on a
+/// full-file compressing client, so that every version is priced whole:
+/// Ubuntu One's PC client at its level 5, then copies of it at levels 1 and
+/// 9. Each file takes one-byte patches in its first 64 KiB, mid-file and in
+/// its last 262 bytes, then an insert, an append and a truncation. A second
+/// device of the same user then edits one file, the first adopts that version
+/// by download and edits it once more. The line holds, per level, each
+/// device's commits and meter cells, and the identity of the cloud's files.
+std::string edited_versions_cell() {
+  std::vector<std::uint64_t> commits, meter;
+  std::uint64_t identity = 0;
+  for (const int level : {5, 1, 9}) {
+    service_profile profile = ubuntu_one();
+    profile.method(access_method::pc_client).upload_compression_level = level;
+    experiment_config cfg{std::move(profile)};
+    cfg.method = access_method::pc_client;
+    experiment_env env(cfg);
+    station& a = env.primary();
+    station& b = env.add_station(0);
+    const auto step = [&env] {
+      env.settle();
+      env.clock().advance_to(env.clock().now() + sim_time::from_sec(60));
+    };
+    rng r(37 + static_cast<std::uint64_t>(level));
+    const std::vector<std::string> paths = {"small.bin", "text.txt",
+                                            "large.bin"};
+    a.fs.create(paths[0], synthetic_payload(r, 70 * KiB + 3, 2.0),
+                env.clock().now());
+    a.fs.create(paths[1], random_text(r, 700 * KiB + 11), env.clock().now());
+    a.fs.create(paths[2], synthetic_payload(r, 3 * MiB, 1.8),
+                env.clock().now());
+    step();
+    // Every rng draw is its own statement, so the draw order is fixed.
+    const auto patch_one_byte = [&](station& st, const std::string& path,
+                                    std::size_t off) {
+      const byte_buffer byte = random_bytes(r, 1);
+      st.fs.patch(path, off, byte, env.clock().now());
+      step();
+    };
+    for (const std::string& path : paths) {
+      const auto size = [&] { return a.fs.read(path).size(); };
+      patch_one_byte(a, path, r.uniform(64 * KiB));
+      patch_one_byte(a, path, size() / 2);
+      patch_one_byte(a, path, size() - 1 - r.uniform(262));
+      const std::size_t at = r.uniform(size());
+      const byte_buffer text = random_text(r, 1 + r.uniform(5000));
+      a.fs.write(path, inserted(a.fs.read(path), at, text),
+                 env.clock().now());
+      step();
+      const byte_buffer tail = random_text(r, 1 + r.uniform(20'000));
+      a.fs.append(path, tail, env.clock().now());
+      step();
+      const std::size_t cut = r.uniform(30'000);
+      a.fs.write(path, a.fs.read(path).substr(0, size() - cut),
+                 env.clock().now());
+      step();
+    }
+    // The second device edits the text file; the first adopts that version
+    // by download, which replaces its shadow without a plan, then edits it.
+    b.client->poll_remote_changes();
+    step();
+    patch_one_byte(b, paths[1], b.fs.read(paths[1]).size() / 3);
+    a.client->poll_remote_changes();
+    step();
+    patch_one_byte(a, paths[1], a.fs.read(paths[1]).size() / 3 + 5000);
+    for (const station* st : {&a, &b}) {
+      commits.push_back(st->client->counters().commits);
+      const std::vector<std::uint64_t> cells = meter_cells(st->client->meter());
+      meter.insert(meter.end(), cells.begin(), cells.end());
+    }
+    for (const std::string& path : paths) {
+      identity =
+          mix64(identity ^ env.the_cloud().file_content(0, path)->hash64());
+    }
+  }
+  return digest_line()
+      .list("commits", commits)
+      .list("meter_up_down_by_category", meter)
+      .hex("identity", identity)
+      .str();
+}
+
 // --- the cell table ----------------------------------------------------------
 
 struct cell {
@@ -702,6 +795,7 @@ const std::vector<cell>& cells() {
       {"rsync_deltas", rsync_cell},
       {"memo_grid", memo_grid_cell},
       {"cdc_boundaries", cdc_cell},
+      {"edited_versions", edited_versions_cell},
   };
   return table;
 }
@@ -808,6 +902,8 @@ TEST(GoldenDigests, RsyncDeltas) { expect_golden("rsync_deltas"); }
 TEST(GoldenDigests, MemoGrid) { expect_golden("memo_grid"); }
 
 TEST(GoldenDigests, CdcBoundaries) { expect_golden("cdc_boundaries"); }
+
+TEST(GoldenDigests, EditedVersions) { expect_golden("edited_versions"); }
 
 }  // namespace
 }  // namespace cloudsync

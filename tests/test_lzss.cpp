@@ -2,6 +2,9 @@
 // robustness against corruption.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "compress/compressor.hpp"
 #include "compress/lzss.hpp"
 #include "compress/varint.hpp"
@@ -377,6 +380,305 @@ TEST(SyntheticPayloadCompression, TracksTargetRatio) {
                        static_cast<double>(lzss_compress(p, {.level = 6}).size());
   EXPECT_GT(ratio, 1.5);
   EXPECT_LT(ratio, 3.0);
+}
+
+// --- pricing an edited version from its predecessor's parse ---------------
+
+/// The lengths of the common prefix and suffix of two flat inputs, the
+/// suffix counted past the prefix.
+std::pair<std::size_t, std::size_t> flat_affixes(byte_view a, byte_view b) {
+  const std::size_t limit = std::min(a.size(), b.size());
+  std::size_t prefix = 0;
+  while (prefix < limit && a[prefix] == b[prefix]) ++prefix;
+  std::size_t suffix = 0;
+  while (suffix < limit - prefix &&
+         a[a.size() - 1 - suffix] == b[b.size() - 1 - suffix]) {
+    ++suffix;
+  }
+  return {prefix, suffix};
+}
+
+struct priced {
+  std::uint64_t size = 0;
+  std::shared_ptr<const lzss_summary> summary;
+};
+
+/// Sizes `data` fed in random pieces, from `base` (the summary of a parse of
+/// `old`) when one is given.
+priced price(byte_view data, int level, rng& r, byte_view old = {},
+             std::shared_ptr<const lzss_summary> base = nullptr) {
+  lzss_stream_sizer sizer(data.size(), {.level = level});
+  if (base) {
+    const auto [prefix, suffix] = flat_affixes(old, data);
+    sizer.reuse(base, prefix, suffix);
+  }
+  std::size_t off = 0;
+  while (off < data.size()) {
+    const std::size_t piece = std::min<std::size_t>(
+        data.size() - off, 1 + r.uniform(std::uint64_t{1} << r.uniform(20)));
+    sizer.feed(data.subspan(off, piece));
+    off += piece;
+  }
+  const std::uint64_t size = sizer.finish();
+  return {size, sizer.summary()};
+}
+
+constexpr std::size_t kLookaheadBytes = 262;  // kMaxMatch + 3
+
+/// A position for an edit of `data`: anywhere, in the first 64 KiB, within
+/// the last kLookahead bytes, at a 256 KiB buffer slide, or a few bytes past
+/// one of the summary's checkpoints (where resuming at the checkpoint itself
+/// would be wrong).
+std::size_t edit_position(const byte_buffer& data, const lzss_summary* s,
+                          rng& r) {
+  const std::size_t n = data.size();
+  switch (r.uniform(5)) {
+    case 0: return r.uniform(std::min<std::size_t>(n, 64 * 1024));
+    case 1: return n - 1 - r.uniform(std::min(n, kLookaheadBytes));
+    case 2: {
+      const std::size_t slide =
+          256 * 1024 * (1 + r.uniform(1 + n / (256 * 1024)));
+      return std::min(n - 1, slide - std::min(slide, 300 + r.uniform(600)));
+    }
+    case 3:
+      if (s != nullptr) {
+        const lzss_checkpoint& c =
+            s->checkpoints[r.uniform(s->checkpoints.size())];
+        return std::min(n - 1, c.offset + 1 + r.uniform(8));
+      }
+      [[fallthrough]];
+    default: return r.uniform(n);
+  }
+}
+
+/// Fresh bytes in the input's own style: copies of its text, so that later
+/// matches may reach into them, or noise.
+byte_buffer edit_bytes(const byte_buffer& data, std::size_t len, rng& r) {
+  if (data.empty() || r.chance(0.3)) return random_bytes(r, len);
+  byte_buffer out;
+  while (out.size() < len) {
+    const std::size_t from = r.uniform(data.size());
+    const std::size_t take =
+        std::min(len - out.size(), data.size() - from);
+    out.insert(out.end(), data.begin() + static_cast<std::ptrdiff_t>(from),
+               data.begin() + static_cast<std::ptrdiff_t>(from + take));
+  }
+  out[r.uniform(out.size())] ^= 0x20;
+  return out;
+}
+
+/// One edit of `data`: a one-byte or run replacement, an insert, a delete,
+/// an append, a truncation, a prepend, or two far-apart one-byte edits.
+byte_buffer edited(const byte_buffer& data, const lzss_summary* s, rng& r) {
+  byte_buffer out = data;
+  const auto at = [&] { return data.empty() ? 0 : edit_position(data, s, r); };
+  const std::size_t kind = data.empty() ? 4 : r.uniform(8);
+  const std::size_t len = 1 + r.uniform(r.chance(0.5) ? 16 : 5000);
+  switch (kind) {
+    case 0: {
+      out[at()] ^= static_cast<std::uint8_t>(1 + r.uniform(255));
+      break;
+    }
+    case 1: {
+      const std::size_t off = at();
+      const byte_buffer run =
+          edit_bytes(data, std::min(len, out.size() - off), r);
+      std::copy(run.begin(), run.end(),
+                out.begin() + static_cast<std::ptrdiff_t>(off));
+      break;
+    }
+    case 2: {
+      const std::size_t off = at();
+      const byte_buffer ins = edit_bytes(data, len, r);
+      out.insert(out.begin() + static_cast<std::ptrdiff_t>(off), ins.begin(),
+                 ins.end());
+      break;
+    }
+    case 3: {
+      const std::size_t off = at();
+      const std::size_t cut = std::min(len, out.size() - off);
+      out.erase(out.begin() + static_cast<std::ptrdiff_t>(off),
+                out.begin() + static_cast<std::ptrdiff_t>(off + cut));
+      break;
+    }
+    case 4: append(out, edit_bytes(data, len, r)); break;
+    case 5: out.resize(out.size() - std::min(len, out.size())); break;
+    case 6: {
+      const byte_buffer head = edit_bytes(data, len, r);
+      out.insert(out.begin(), head.begin(), head.end());
+      break;
+    }
+    default: {
+      const std::size_t eighth = std::max<std::size_t>(1, out.size() / 8);
+      out[r.uniform(eighth)] ^= 0x41;
+      out[out.size() - 1 - r.uniform(eighth)] ^= 0x17;
+      break;
+    }
+  }
+  return out;
+}
+
+/// Prices a chain of `depth` edited versions of `data`, each from the
+/// summary of the version before (so a reused summary is reused again),
+/// and expects every size to be the compressor's.
+void expect_edit_chain_exact(byte_buffer data, int level, int depth, rng& r,
+                             const char* what) {
+  priced prev = price(data, level, r);
+  ASSERT_EQ(prev.size, lzss_compress(data, {.level = level}).size()) << what;
+  for (int v = 1; v <= depth; ++v) {
+    byte_buffer next = edited(data, prev.summary.get(), r);
+    const priced cur = price(next, level, r, data, prev.summary);
+    ASSERT_EQ(cur.size, lzss_compress(next, {.level = level}).size())
+        << what << " size " << data.size() << " -> " << next.size()
+        << " version " << v << " level " << level;
+    data = std::move(next);
+    prev = cur;
+  }
+}
+
+class SizerReuse : public ::testing::TestWithParam<int> {};
+
+TEST_P(SizerReuse, EditChainsMatchCompressor) {
+  const int level = GetParam();
+  rng r(300 + level);
+  for (const std::size_t size : {0u, 7u, 5000u, 70'000u, 300'000u}) {
+    for (int shape = 0; shape < kShapes; ++shape) {
+      expect_edit_chain_exact(differential_input(shape, r, size), level, 6, r,
+                              "shape");
+    }
+  }
+  // About 3 MiB, one shape per level as in the feed-split differential.
+  const int shape = level % kShapes;
+  expect_edit_chain_exact(differential_input(shape, r, (3u << 20) + 12'345),
+                          level, 6, r, "big shape");
+}
+
+TEST_P(SizerReuse, EditsJustPastCheckpointsMatchCompressor) {
+  // A token before a checkpoint may read up to kLookahead bytes past it: a
+  // literal deferred for a longer match that starts at the checkpoint reads
+  // that whole match. An edit there must not resume at that checkpoint.
+  const int level = GetParam();
+  rng r(400 + level);
+  for (int shape : {0, 3, 4}) {
+    const byte_buffer base = differential_input(shape, r, 100'000);
+    const priced p = price(base, level, r);
+    ASSERT_NE(p.summary, nullptr);
+    for (const lzss_checkpoint& c : p.summary->checkpoints) {
+      byte_buffer next = base;
+      const std::size_t at = c.offset + 1 + r.uniform(48);
+      if (at >= next.size()) continue;
+      next[at] ^= static_cast<std::uint8_t>(1 + r.uniform(255));
+      EXPECT_EQ(price(next, level, r, base, p.summary).size,
+                lzss_compress(next, {.level = level}).size())
+          << "shape " << shape << " checkpoint " << c.offset << " edit at "
+          << at;
+    }
+  }
+}
+
+TEST_P(SizerReuse, EditThatChangesTheTokenBeforeACheckpoint) {
+  // Runs of 'x', with a literal-only stretch that makes m - 1 a token start
+  // for the checkpoint mark m = 8 KiB. At m - 1 stands "Zabcdefghijk";
+  // earlier stand a decoy for it and "abcdefghijk". Lazy levels find a
+  // 5-byte match at m - 1 and defer it for the 11+-byte one at m; the
+  // others find a match one byte shorter than they accept and emit a
+  // literal. One changed byte inside the bytes those choices read turns
+  // the token at m - 1 into a match, so the parse must resume before m.
+  const int level = GetParam();
+  const std::size_t accept = level == 1 ? 8 : level == 2 ? 7 : 4;
+  const bool lazy = level >= 5;
+  const std::string letters = "abcdefghijk";
+  const std::string decoy =
+      "Z" + letters.substr(0, lazy ? 4 : accept - 2) + "#";
+  const std::size_t m = 8 * 1024;
+  byte_buffer data(40'000, std::uint8_t{'x'});
+  rng r(500 + level);
+  const byte_buffer noise = random_bytes(r, 300);
+  const auto put = [&](std::size_t at, const std::string& text) {
+    std::copy(text.begin(), text.end(), data.begin() + at);
+  };
+  put(1000, decoy);
+  put(2000, letters);
+  std::copy(noise.begin(), noise.end(), data.begin() + (m - 1 - noise.size()));
+  put(m - 1, "Z" + letters);
+  const priced p = price(data, level, r);
+  ASSERT_NE(p.summary, nullptr);
+  const auto& cps = p.summary->checkpoints;
+  ASSERT_TRUE(std::any_of(
+      cps.begin(), cps.end(),
+      [&](const lzss_checkpoint& c) { return c.offset == m; }))
+      << "no token start at the mark";
+  byte_buffer next = data;
+  next[m - 1 + decoy.size() - 2] = '#';
+  EXPECT_EQ(price(next, level, r, data, p.summary).size,
+            lzss_compress(next, {.level = level}).size());
+}
+
+INSTANTIATE_TEST_SUITE_P(Levels, SizerReuse, ::testing::Range(1, 10));
+
+TEST(SizerReuse, SummaryIsKeptOnlyPastOneCheckpoint) {
+  rng r(61);
+  const byte_buffer small = random_text(r, 4096);
+  const byte_buffer large = random_text(r, 2 * 1024 * 1024);
+  EXPECT_EQ(price(small, 5, r).summary, nullptr);
+  EXPECT_EQ(price(large, 0, r).summary, nullptr);  // stored frame
+  const priced p = price(large, 5, r);
+  ASSERT_NE(p.summary, nullptr);
+  // A 2 MiB input gets a 4 KiB spacing: 512 checkpoints.
+  EXPECT_EQ(p.summary->checkpoints.size(), 512u);
+  EXPECT_EQ(p.summary->checkpoints.front().offset, 0u);
+  EXPECT_EQ(p.summary->size, large.size());
+  EXPECT_EQ(p.summary->level, 5);
+  for (std::size_t i = 1; i < p.summary->checkpoints.size(); ++i) {
+    const lzss_checkpoint& a = p.summary->checkpoints[i - 1];
+    const lzss_checkpoint& b = p.summary->checkpoints[i];
+    EXPECT_GE(b.offset, i * 4096);
+    EXPECT_LT(b.offset, i * 4096 + 259);  // a token is at most 259 bytes
+    EXPECT_GE(b.literals, a.literals);
+    EXPECT_GE(b.matches, a.matches);
+  }
+  EXPECT_GE(p.summary->literals, p.summary->checkpoints.back().literals);
+  EXPECT_GE(p.summary->matches, p.summary->checkpoints.back().matches);
+}
+
+TEST(SizerReuse, UnrelatedInputLevelMismatchAndStoredBase) {
+  rng r(67);
+  const byte_buffer a = random_text(r, 400'000);
+  const byte_buffer b = synthetic_payload(r, 350'000, 2.0);
+  const priced pa = price(a, 6, r);
+  ASSERT_NE(pa.summary, nullptr);
+  // Another input altogether: its true (small) prefix and suffix.
+  EXPECT_EQ(price(b, 6, r, a, pa.summary).size,
+            lzss_compress(b, {.level = 6}).size());
+  // A summary of another level is not used.
+  byte_buffer a2 = a;
+  a2[200'000] ^= 1;
+  for (const int level : {0, 1, 5, 9}) {
+    EXPECT_EQ(price(a2, level, r, a, pa.summary).size,
+              lzss_compress(a2, {.level = level}).size())
+        << level;
+  }
+  // A stored base leaves no summary to reuse, and the sizer parses in full.
+  const priced stored = price(a, 0, r);
+  EXPECT_EQ(price(a2, 6, r, a, stored.summary).size,
+            lzss_compress(a2, {.level = 6}).size());
+  // The same input again.
+  EXPECT_EQ(price(a, 6, r, a, pa.summary).size, pa.size);
+}
+
+TEST(SizerReuse, MisuseThrows) {
+  rng r(71);
+  const byte_buffer a = random_text(r, 100'000);
+  const priced pa = price(a, 5, r);
+  ASSERT_NE(pa.summary, nullptr);
+  lzss_stream_sizer late(a.size(), {.level = 5});
+  late.feed(byte_view(a).first(10));
+  EXPECT_THROW(late.reuse(pa.summary, 0, 0), std::logic_error);
+  lzss_stream_sizer overlap(a.size(), {.level = 5});
+  EXPECT_THROW(overlap.reuse(pa.summary, 60'000, 40'001), std::logic_error);
+  lzss_stream_sizer twice(a.size(), {.level = 5});
+  twice.reuse(pa.summary, 100'000, 0);
+  EXPECT_THROW(twice.reuse(pa.summary, 100'000, 0), std::logic_error);
 }
 
 }  // namespace

@@ -306,6 +306,26 @@ TEST(ApplyDelta, SizeMismatchThrows) {
   EXPECT_THROW(apply_delta({}, delta), std::runtime_error);
 }
 
+TEST(ApplyDelta, HugeDeclaredSizeThrowsRuntimeError) {
+  // A parsed delta may declare any size. Reserving it before the ops were
+  // checked threw std::bad_alloc instead of the size check's error.
+  rng r(24);
+  const byte_buffer old_data = random_bytes(r, 4096);
+  for (const bool with_ops : {false, true}) {
+    file_delta delta;
+    delta.block_size = 1024;
+    delta.new_file_size = std::uint64_t{1} << 62;
+    if (with_ops) {
+      delta.ops.push_back({delta_op::kind::copy, 0, 4, {}, {}});
+      delta.ops.push_back(
+          {delta_op::kind::literal, 0, 0, to_buffer("tail"), {}});
+    }
+    const file_delta parsed = parse_delta(serialize_delta(delta));
+    EXPECT_THROW(apply_delta(old_data, parsed), std::runtime_error)
+        << with_ops;
+  }
+}
+
 TEST(FileDelta, CopiedBytesAccounting) {
   rng r(16);
   const byte_buffer old_data = random_bytes(r, 2500);  // 2 full + 452 tail

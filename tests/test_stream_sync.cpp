@@ -5,7 +5,8 @@
 //
 // The sizes straddle the incompressibility probe's threshold (4 KiB), its
 // sample budget (16 KiB) and the content store's intern chunk (64 KiB), on
-// compressible and random bytes, at every compression level. Ropes are cut
+// compressible and random bytes, at every compression level. Between 4 KiB
+// and 16 KiB a level-5 upload is priced by the probe's own count. Ropes are cut
 // at random points, so probe windows and sizer feeds straddle segments.
 // The metered traffic these sizers produce is pinned by the StreamSync cells
 // of test_golden_digests.
@@ -25,8 +26,8 @@ namespace {
 constexpr int kMaxLevel = 9;
 
 const std::vector<std::size_t> kSizes = {
-    0,       1,        4095,     4096,     4097,      16383,
-    16384,   16385,    65535,    65536,    65537,     300 * 1024 + 17};
+    0,     1,     4095,  4096,  4097,  8192,  16383,
+    16384, 16385, 65535, 65536, 65537, 300 * 1024 + 17};
 
 byte_buffer make_bytes(rng& r, std::size_t n, bool compressible) {
   return compressible ? random_text(r, n) : random_bytes(r, n);
@@ -85,6 +86,60 @@ TEST(StreamSizers, RopeSizerMatchesFlatReference) {
             << (compressible ? "text" : "random") << " size " << n
             << " segments " << rope.segment_count() << " level " << level;
       }
+    }
+  }
+}
+
+/// One edit of a rope, as the fleet and the file system make them: a patch,
+/// an insert, a delete, an append, a truncation or a prepend.
+content_ref edited_rope(const content_ref& c, rng& r) {
+  const std::size_t off = r.uniform(c.size());
+  const byte_buffer fresh = random_text(r, 1 + r.uniform(3000));
+  content_ref::builder b;
+  switch (r.uniform(6)) {
+    case 0:
+      return c.patched(off, byte_view(fresh).first(
+                                std::min(fresh.size(), c.size() - off)));
+    case 1:
+      b.append(c, 0, off);
+      b.append_bytes(fresh);
+      b.append(c, off, c.size() - off);
+      return b.build();
+    case 2: {
+      const std::size_t cut = std::min(fresh.size(), c.size() - off);
+      b.append(c, 0, off);
+      b.append(c, off + cut, c.size() - off - cut);
+      return b.build();
+    }
+    case 3: return c.appended(fresh);
+    case 4: return c.substr(0, c.size() - std::min(fresh.size(), c.size() - 1));
+    default:
+      b.append_bytes(fresh);
+      b.append(c);
+      return b.build();
+  }
+}
+
+TEST(StreamSizers, RopeSizerWithBaseMatchesFlatReferenceOverEditChains) {
+  // Each version is priced from the pricing of the one before, so summaries
+  // chain seven deep.
+  rng r(5);
+  const struct {
+    std::size_t size;
+    int level;
+  } cases[] = {{20'000, 1}, {20'000, 9}, {100'000, 4}, {100'000, 5},
+               {700'000, 1}, {700'000, 9}, {2'100'000, 5}};
+  for (const auto [n, level] : cases) {
+    content_ref version = split_rope(r, random_text(r, n));
+    priced_version prev;
+    for (int v = 0; v < 8; ++v) {
+      priced_version cur{version, nullptr};
+      const std::uint64_t size =
+          wire_payload_size_ref(version, level, &prev, &cur.summary);
+      ASSERT_EQ(size, wire_payload_size(version.flatten(), level))
+          << "size " << n << " level " << level << " version " << v;
+      prev = cur;
+      version = edited_rope(version, r);
     }
   }
 }
